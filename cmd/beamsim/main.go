@@ -9,7 +9,7 @@
 //	        [-checkpoint-every 150000] [-max-checkpoints 64]
 //	        [-cpuprofile cpu.prof] [-memprofile mem.prof] [-ladder-debug]
 //	        [-remote http://host:8440]
-//	        [-target-margin 0.04] [-confidence 0.99] [-stop-shadow]
+//	        [-target-margin 0.04] [-confidence 0.99] [-verify]
 //	beamsim -fitraw [-hours 20]
 package main
 
@@ -114,32 +114,15 @@ func run() error {
 			"cross-check every incremental dirty-page convergence check against the exact full-image comparison (slow; panics on disagreement)")
 		remote = flag.String("remote", "",
 			"submit the campaign to a campaignd coordinator at this URL instead of running locally, wait for completion, and report its results")
-		// Flag parity with gefin: the flags are accepted so campaign scripts
-		// can pass one flag set to both tools, but beam strikes are never
-		// pre-filtered. The liveness pre-filter classifies a pre-drawn plan
-		// against one golden replay; beam strikes have no such plan — each
-		// strike is drawn from the machine's *current* residency mid-run,
-		// chains onto the corrupted state of the previous one, and the
-		// latent-corruption follow-up execution is itself the measurement.
-		prune = flag.Bool("prune", false,
-			"accepted for gefin flag parity; live-board strikes are never pre-filtered (see source)")
-		pruneVerify = flag.Bool("prune-verify", false,
-			"accepted for gefin flag parity; live-board strikes are never pre-filtered (see source)")
 		targetMargin = flag.Float64("target-margin", 0,
 			"sequential early stopping: cut each component's strike chain at the first check boundary where every class estimate reaches this confidence-interval half-width (0 disables; surviving strikes are re-weighted so FIT rates stay unbiased)")
 		confidence = flag.Float64("confidence", 0,
 			"confidence level for -target-margin and reported margins (0 = 0.99, the paper's level)")
-		stopShadow = flag.Bool("stop-shadow", false,
-			"shadow mode: execute every strike while computing the same sequential cuts and emitting the truncated re-weighted result (CI cross-checks it byte-for-byte against a genuinely stopped run)")
+		verify = flag.Bool("verify", false,
+			"execute every strike while computing the same -target-margin cuts and emitting the truncated re-weighted result (tests cross-check it byte-for-byte against a genuinely stopped run)")
 	)
 	flag.Parse()
 
-	if w := pruneParityWarning(*prune, *pruneVerify); w != "" {
-		// Deliberately not gated on -quiet: a campaign script comparing a
-		// "pruned" beam arm against an unpruned one is measuring nothing,
-		// and that mistake must surface even in scripted quiet runs.
-		fmt.Fprintln(os.Stderr, w)
-	}
 	scale := bench.ScaleTiny
 	switch *scaleFlag {
 	case "tiny":
@@ -164,7 +147,7 @@ func run() error {
 		CheckpointEvery: *ckEvery, MaxCheckpoints: *ckMax,
 		LadderDebug: *ladderDebug, Obs: ocli.Obs,
 		Provenance:   *prov,
-		TargetMargin: *targetMargin, Confidence: *confidence, StopShadow: *stopShadow,
+		TargetMargin: *targetMargin, Confidence: *confidence, Verify: *verify,
 	}
 	var progress beam.Progress
 	if !*quiet {
@@ -236,15 +219,4 @@ func run() error {
 		fmt.Println(report.StopBeam(s))
 	}
 	return nil
-}
-
-// pruneParityWarning is the stderr note emitted when the gefin-parity
-// pre-filter flags are passed ("" when neither is set). The flags are
-// accepted so one flag set drives both tools, but they never prune beam
-// strikes, so the note is unconditional — not silenced by -quiet.
-func pruneParityWarning(prune, pruneVerify bool) string {
-	if !prune && !pruneVerify {
-		return ""
-	}
-	return "beamsim: note: -prune/-prune-verify have no effect on beam strikes (no pre-drawn plan to pre-filter); every strike executes"
 }

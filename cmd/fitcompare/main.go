@@ -65,10 +65,10 @@ func run() error {
 			"confidence level for the beam-vs-injection significance verdicts (Poisson vs Wilson interval overlap)")
 		prune = flag.Bool("prune", false,
 			"pre-filter the injection campaign's fault plan against a liveness replay and skip provably-masked injections (results are byte-identical either way; beam strikes always execute)")
-		pruneVerify = flag.Bool("prune-verify", false,
-			"shadow mode for the injection campaign: predict AND simulate every injection, failing on any disagreement (implies -prune)")
 		dedup = flag.Bool("dedup", false,
 			"collapse the injection campaign's plan into equivalence classes and simulate one representative per class (results are byte-identical either way; beam strikes always execute)")
+		verify = flag.Bool("verify", false,
+			"cross-validate the injection campaign's shortcuts: simulate every injection and check each -prune prediction and -dedup materialization against it, failing on any disagreement (turns on neither)")
 	)
 	flag.Parse()
 
@@ -157,7 +157,7 @@ func run() error {
 	injCfg := gefin.Config{
 		Scale: scale, Seed: *seed, FaultsPerComponent: *faults, Workers: *workers,
 		CheckpointEvery: *ckEvery, MaxCheckpoints: *ckMax, Obs: ocli.Obs,
-		Provenance: *prov, Prune: *prune, PruneVerify: *pruneVerify, Dedup: *dedup,
+		Provenance: *prov, Prune: *prune, Dedup: *dedup, Verify: *verify,
 	}
 	injRes, err := gefin.Run(injCfg, specs, gefinProg)
 	if err != nil {

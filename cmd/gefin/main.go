@@ -11,9 +11,9 @@
 //	      [-metrics-addr 127.0.0.1:9100]
 //	      [-checkpoint-every 150000] [-max-checkpoints 64]
 //	      [-cpuprofile cpu.prof] [-memprofile mem.prof] [-ladder-debug]
-//	      [-prune] [-prune-verify] [-dedup] [-dedup-verify] [-exhaustive]
+//	      [-prune] [-dedup] [-exhaustive] [-verify]
 //	      [-remote http://host:8440]
-//	      [-target-margin 0.04] [-confidence 0.99] [-stop-shadow]
+//	      [-target-margin 0.04] [-confidence 0.99]
 package main
 
 import (
@@ -152,12 +152,8 @@ func run() error {
 			"cross-check every incremental dirty-page convergence check against the exact full-image comparison (slow; panics on disagreement)")
 		prune = flag.Bool("prune", false,
 			"pre-filter the fault plan against a liveness replay and skip provably-masked injections (results are byte-identical either way)")
-		pruneVerify = flag.Bool("prune-verify", false,
-			"shadow mode: predict AND simulate every injection, failing the campaign on any disagreement (implies -prune; no speedup)")
 		dedup = flag.Bool("dedup", false,
 			"collapse planned injections into equivalence classes (same fault site, same quiescent window) and simulate one representative per class (results are byte-identical either way)")
-		dedupVerify = flag.Bool("dedup-verify", false,
-			"shadow mode: simulate every class member and compare against its representative, failing the campaign on any disagreement (implies -dedup; no speedup)")
 		exhaustive = flag.Bool("exhaustive", false,
 			"enumerate every (fault site x quiescent window) of the selected components instead of sampling, for a population-exact AVF (local only; use -components to pick liveness-covered targets)")
 		components = flag.String("components", "",
@@ -168,8 +164,8 @@ func run() error {
 			"sequential early stopping: truncate each component's plan at the first check boundary where every class estimate reaches this confidence-interval half-width (0 disables; the stopped Result is byte-identical to the same plan-order prefix of a full run)")
 		confidence = flag.Float64("confidence", 0,
 			"confidence level for -target-margin and reported margins (0 = 0.99, the paper's level)")
-		stopShadow = flag.Bool("stop-shadow", false,
-			"shadow mode: execute the full plan while computing the same sequential cuts and emitting the truncated aggregation (CI cross-checks it byte-for-byte against a genuinely stopped run)")
+		verify = flag.Bool("verify", false,
+			"cross-validate the shortcuts: simulate every injection with the provenance probe, check each -prune prediction and -dedup materialization against it (failing the campaign on any disagreement), and compute -target-margin cuts without applying them (no speedup; turns on neither -prune nor -dedup)")
 	)
 	flag.Parse()
 
@@ -225,13 +221,11 @@ func run() error {
 		Obs:                ocli.Obs,
 		Provenance:         *prov,
 		Prune:              *prune,
-		PruneVerify:        *pruneVerify,
 		Dedup:              *dedup,
-		DedupVerify:        *dedupVerify,
 		Exhaustive:         *exhaustive,
 		TargetMargin:       *targetMargin,
 		Confidence:         *confidence,
-		StopShadow:         *stopShadow,
+		Verify:             *verify,
 	}
 	var progress gefin.Progress
 	if !*quiet {

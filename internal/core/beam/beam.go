@@ -149,11 +149,11 @@ type Config struct {
 	// sequential rule. Zero picks DefaultStopCheckEvery. Part of the
 	// determinism surface.
 	StopCheckEvery int
-	// StopShadow simulates every strike while still computing the
+	// Verify simulates every strike while still computing the
 	// sequential cuts, then emits the truncated re-weighted result: a
-	// shadow run's Workloads are byte-identical to a genuinely stopped
+	// verify run's Workloads are byte-identical to a genuinely stopped
 	// run's, which is how tests cross-check the prefix property.
-	StopShadow bool
+	Verify bool
 	// Provenance attaches a propagation-provenance probe to every strike:
 	// the struck location is tainted at strike time and traced records
 	// carry the mechanism verdict plus the lifecycle event chain. The
@@ -192,7 +192,7 @@ func (c Config) withDefaults() Config {
 	if c.CheckpointEvery > 0 && c.MaxCheckpoints == 0 {
 		c.MaxCheckpoints = soc.DefaultMaxCheckpoints
 	}
-	if c.TargetMargin > 0 || c.StopShadow {
+	if c.TargetMargin > 0 || c.Verify {
 		// Pin the stop rule's full determinism surface into the config, so
 		// a serialized manifest reproduces the identical cuts.
 		if c.Confidence == 0 {
@@ -664,7 +664,7 @@ func runWorkload(cfg Config, spec bench.Spec, pool *sched.Pool, em *emitter) (*W
 
 	var stop *StopSummary
 	if rule.Enabled() {
-		stop = &StopSummary{TargetMargin: cfg.TargetMargin, Confidence: cfg.Confidence, Shadow: cfg.StopShadow}
+		stop = &StopSummary{TargetMargin: cfg.TargetMargin, Confidence: cfg.Confidence, Shadow: cfg.Verify}
 		for ci, pr := range partial {
 			stop.Chains = append(stop.Chains, StopChain{
 				Workload: spec.Name,

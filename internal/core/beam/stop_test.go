@@ -62,7 +62,7 @@ func TestBeamStopMatchesShadow(t *testing.T) {
 	spec, _ := bench.ByName("crc32")
 	stopped := beamStopConfig()
 	shadow := beamStopConfig()
-	shadow.StopShadow = true
+	shadow.Verify = true
 	a, err := Run(stopped, []bench.Spec{spec}, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -12,6 +12,7 @@ package gefin
 
 import (
 	"fmt"
+	"sort"
 	"time"
 
 	"armsefi/internal/core/equiv"
@@ -24,10 +25,8 @@ import (
 type dedupPlan struct {
 	classes []equiv.Class
 	// classOf maps each plan slot to its class index (-1 for slots
-	// outside any multi-member class); member marks the non-representative
-	// members — the slots a deduplicated execution order excludes.
+	// outside any multi-member class).
 	classOf []int
-	member  []bool
 	summary DedupSummary
 }
 
@@ -47,10 +46,7 @@ func buildDedup(cfg Config, wb *harness.Workbench, workload string, plan []plann
 	if pp != nil {
 		eligible = func(i int) bool { return !pp.decided[i] }
 	}
-	dd := &dedupPlan{
-		classOf: make([]int, len(plan)),
-		member:  make([]bool, len(plan)),
-	}
+	dd := &dedupPlan{classOf: make([]int, len(plan))}
 	dd.classes = equiv.Partition(wb.Liveness, faults, eligible)
 	for i := range dd.classOf {
 		dd.classOf[i] = -1
@@ -58,9 +54,6 @@ func buildDedup(cfg Config, wb *harness.Workbench, workload string, plan []plann
 	for ci, cl := range dd.classes {
 		for _, m := range cl.Members {
 			dd.classOf[m] = ci
-			if m != cl.Rep {
-				dd.member[m] = true
-			}
 		}
 	}
 	st := equiv.StatsOf(dd.classes)
@@ -73,6 +66,18 @@ func buildDedup(cfg Config, wb *harness.Workbench, workload string, plan []plann
 		cfg.Obs.DedupClasses(workload, sizes)
 	}
 	return dd
+}
+
+// repOf returns the representative of slot i within a plan range
+// starting at lo: the lowest member of i's class at or after lo (i itself
+// for a slot in no class). For the whole plan it is the class's Rep.
+func (dd *dedupPlan) repOf(i, lo int) int {
+	ci := dd.classOf[i]
+	if ci < 0 {
+		return i
+	}
+	members := dd.classes[ci].Members
+	return members[sort.SearchInts(members, lo)]
 }
 
 // emit traces one materialized member injection: the member's own fault
@@ -105,7 +110,7 @@ func (dd *dedupPlan) emit(cfg Config, workload string, p plannedFault, rep outco
 	cfg.Obs.Record(rec, now, now)
 }
 
-// dedupMismatch compares a shadow-mode member's simulated outcome
+// dedupMismatch compares a verify-mode member's simulated outcome
 // against its representative's and describes the disagreement ("" on
 // match). Both outcomes come from provenance runs, so the mechanism
 // verdicts compare too.

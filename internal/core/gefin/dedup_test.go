@@ -96,98 +96,3 @@ func TestDedupSummarySplit(t *testing.T) {
 		t.Fatalf("deduped fraction %f out of (0,1)", f)
 	}
 }
-
-// TestDedupVerifyShadowMode is the cross-validation harness: shadow mode
-// simulates every class member AND materializes nothing, comparing each
-// member's simulated verdict against its representative's. Zero
-// mismatches at one worker and four, on both workloads, validates the
-// equivalence-class construction against ground truth.
-func TestDedupVerifyShadowMode(t *testing.T) {
-	for _, workload := range []string{"crc32", "matmul"} {
-		for _, workers := range []int{1, 4} {
-			cfg := dedupConfig(5)
-			cfg.Workers = workers
-			cfg.CheckpointEvery = soc.DefaultCheckpointEvery
-			cfg.DedupVerify = true
-			spec, _ := bench.ByName(workload)
-			res, err := Run(cfg, []bench.Spec{spec}, nil)
-			if err != nil {
-				t.Fatalf("%s workers=%d: %v", workload, workers, err)
-			}
-			s := res.Dedup
-			if s == nil || s.Deduped == 0 {
-				t.Fatalf("%s workers=%d: shadow mode formed no classes", workload, workers)
-			}
-			if s.Verified != s.Deduped || s.Mismatches != 0 {
-				t.Fatalf("%s workers=%d: verified %d/%d with %d mismatches",
-					workload, workers, s.Verified, s.Deduped, s.Mismatches)
-			}
-			if want := PlanLen(cfg.withDefaults()); s.Simulated != want {
-				t.Fatalf("%s workers=%d: shadow mode simulated %d of %d", workload, workers, s.Simulated, want)
-			}
-		}
-	}
-}
-
-// TestDedupShardInvariance extends the contract to the campaign-service
-// path: shards executed by a deduplicating runner assemble into the same
-// WorkloadResult as a plain in-process run. Representatives are
-// shard-local — a full-plan shard reproduces the whole partition, narrow
-// shards re-simulate cross-shard members — so assembly stays bit-exact
-// at any shard geometry.
-func TestDedupShardInvariance(t *testing.T) {
-	cfg := dedupConfig(5)
-	cfg.CheckpointEvery = soc.DefaultCheckpointEvery
-	spec, _ := bench.ByName("crc32")
-	ref := runSmall(t, cfg, "crc32")
-
-	dcfg := cfg
-	dcfg.Dedup = true
-	n := PlanLen(dcfg)
-	for _, width := range []int{7, n} {
-		r := NewShardRunner(dcfg)
-		var outs []ShardOutcome
-		var meta ShardMeta
-		for lo := 0; lo < n; lo += width {
-			hi := lo + width
-			if hi > n {
-				hi = n
-			}
-			part, m, err := r.RunShard(spec, lo, hi)
-			if err != nil {
-				t.Fatal(err)
-			}
-			outs = append(outs, part...)
-			meta = m
-		}
-		res, err := AssembleWorkload(dcfg, "crc32", meta, outs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		equalComponentResults(t, ref, res)
-
-		s := ShardDedupSummary(outs)
-		if s.Deduped+s.Simulated != n {
-			t.Fatalf("width %d: shard split %d/%d over plan %d", width, s.Deduped, s.Simulated, n)
-		}
-		if width == n {
-			// One full-range shard sees every class whole, so the wire
-			// outcomes carry the complete dedup split.
-			if s.Deduped == 0 {
-				t.Fatal("full-range shard materialized nothing")
-			}
-			if total := MergeDedupSummaries([]*DedupSummary{s, nil}); total.Deduped != s.Deduped {
-				t.Fatalf("merge dropped materializations: %d vs %d", total.Deduped, s.Deduped)
-			}
-		}
-	}
-
-	// Shadow mode on the shard path: every member simulates and the
-	// runner fails the shard on any disagreement with its representative.
-	vcfg := cfg
-	vcfg.DedupVerify = true
-	vr := NewShardRunner(vcfg)
-	if _, _, err := vr.RunShard(spec, 0, n); err != nil {
-		t.Fatalf("shard shadow mode: %v", err)
-	}
-}

@@ -11,9 +11,6 @@ package gefin
 import (
 	"fmt"
 	"math/rand"
-	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"armsefi/internal/bench"
@@ -32,7 +29,7 @@ type plannedFault struct {
 
 // outcome is the record of one executed injection. mech is the
 // provenance mechanism verdict when one was computed (provenance or
-// shadow-verify runs with an armed probe); aggregation ignores it.
+// verify runs with an armed probe); aggregation ignores it.
 // cycles and outstr carry the raw run observables so a deduplicated
 // member's trace record can reproduce its representative's skeleton.
 type outcome struct {
@@ -247,285 +244,60 @@ func aggregate(cfg Config, workload string, goldenCycles, goldenInstrs uint64, s
 	return out
 }
 
-// runWorkload builds the workload's primary workbench, pre-draws the fault
-// plan (or enumerates it, for an exhaustive sweep), and executes it across
-// the primary plus as many clone workbenches as the pool grants. The side
-// summaries carry whichever optional reports the configuration produced.
+// runWorkload prepares the workload, resolves its whole plan on the
+// primary workbench plus as many clones as the pool grants, and
+// aggregates the outcomes in plan order. The side summaries carry
+// whichever optional reports the configuration produced.
 func runWorkload(cfg Config, spec bench.Spec, pool *sched.Pool, em *emitter) (*WorkloadResult, sideSummaries, error) {
 	var side sideSummaries
-	wb, err := prepareWorkbench(cfg, spec)
+	p, err := prepare(cfg, spec)
 	if err != nil {
 		return nil, side, err
 	}
-	var (
-		plan  []plannedFault
-		sizes []uint64
-		ep    *exhaustivePlan
-	)
-	if cfg.Exhaustive {
-		if ep, sizes, err = exhaustivePlanFor(cfg, wb); err != nil {
-			return nil, side, err
-		}
-		plan = ep.plan
-	} else {
-		plan, sizes = planFor(cfg, wb, spec.Name)
-	}
-	em.addTotal(len(plan))
-
-	// totals feeds the per-component progress denominators: uniform for a
-	// sampled campaign, the enumerated window counts for a sweep.
-	totals := make([]int, len(cfg.Components))
-	for ci := range totals {
-		totals[ci] = cfg.FaultsPerComponent
-		if ep != nil {
-			totals[ci] = ep.perComp[ci]
-		}
-	}
+	em.addTotal(len(p.plan))
 
 	// The commit controller streams plan-order tallies into the
 	// convergence estimators and, with a target margin set, decides each
 	// component's truncation point. Nil when neither is wanted.
-	sc := newStopController(cfg, spec.Name, len(plan), obs.TraceContext{})
-
-	// Pre-filter: classify the whole plan against the liveness log before
-	// any simulation. Decided slots resolve to their predicted outcome
-	// below; in shadow mode they are additionally simulated and checked.
-	var pp *prunePlan
-	if cfg.Prune {
-		pp = predictPlan(wb, plan)
+	sc := newStopController(cfg, spec.Name, len(p.plan), obs.TraceContext{})
+	outcomes, via, err := p.resolve(cfg, 0, len(p.plan), execution{pool: pool, sc: sc, em: em})
+	if err != nil {
+		return nil, side, err
 	}
-
-	// Equivalence-class partition over the pre-filter's undecided
-	// remainder: member slots resolve from their representative's outcome.
-	// An exhaustive plan already enumerates one injection per class, so
-	// there is nothing left to collapse.
-	var dd *dedupPlan
-	if cfg.Dedup && !cfg.Exhaustive {
-		dd = buildDedup(cfg, wb, spec.Name, plan, pp)
-	}
-
-	// Execution order: the slots that go to the simulator. With the ladder
-	// on, workers drain it sorted by injection cycle (ties broken by plan
-	// index), so consecutive runs on a worker restore the same or a
-	// neighbouring rung and the short early-injection runs cluster instead
-	// of straggling. The order is a pure execution permutation: every
-	// outcome still lands in its plan slot and aggregation stays in plan
-	// order, so the Result is bit-identical at any worker count, pruned or
-	// not, deduplicated or not, sorted or not.
-	order := make([]int, 0, len(plan))
-	for i := range plan {
-		if pp != nil && !cfg.PruneVerify && pp.decided[i] {
-			continue
-		}
-		if dd != nil && !cfg.DedupVerify && dd.member[i] {
-			continue
-		}
-		order = append(order, i)
-	}
-	if cfg.CheckpointEvery > 0 {
-		sort.SliceStable(order, func(a, b int) bool {
-			return plan[order[a]].f.Cycle < plan[order[b]].f.Cycle
-		})
-	}
-	batches := batchByRung(wb.Ladder, plan, order)
-
-	// Claim extra workers up-front (a clone is one kernel boot each) so a
-	// boot failure surfaces before any injection runs.
-	extras := cfg.Workers - 1
-	if extras > len(order)-1 {
-		extras = len(order) - 1
-	}
-	var clones []*harness.Workbench
-	for len(clones) < extras {
-		ok := pool.TryAcquire()
-		cfg.Obs.CloneTry(ok)
-		if !ok {
-			break
-		}
-		clone, err := wb.Clone()
-		if err != nil {
-			pool.Release()
-			for range clones {
-				pool.Release()
-			}
-			return nil, side, fmt.Errorf("gefin: %w", err)
-		}
-		clones = append(clones, clone)
-	}
-
-	outcomes := make([]outcome, len(plan))
-
-	// Resolve predicted slots without simulation (outside shadow mode):
-	// fill their outcomes, trace them as predicted, and tick progress.
-	if pp != nil && !cfg.PruneVerify {
-		for i := range plan {
-			if !pp.decided[i] || sc.skip(i) {
-				continue
-			}
-			outcomes[i] = pp.outcome(i)
-			sc.commit(i, outcomes[i].class)
-			pp.emit(cfg, wb, spec.Name, i, plan[i], 0, obs.TraceContext{})
-			em.tick(spec.Name, cfg.Components[plan[i].comp], totals[plan[i].comp])
-		}
-	}
-
-	// Shadow modes simulate everything with a provenance probe so every
-	// prediction (or materialized member) can be checked against the
-	// probe's mechanism verdict.
-	execCfg := cfg
-	if cfg.PruneVerify || cfg.DedupVerify {
-		execCfg.Provenance = true
-	}
-	var mismatchMu sync.Mutex
-	var mismatches []string
-
-	// Dynamic sharding: workers race on an atomic cursor over rung-sharing
-	// batches of the execution order (one-slot batches without a ladder),
-	// so load balances regardless of per-injection cost while consecutive
-	// runs on a worker restore the identical rung image — the
-	// copy-on-write DRAM restore then touches only the pages the previous
-	// run dirtied. Every outcome lands in its plan slot and aggregation
-	// order stays fixed.
-	var cursor int64
-	drain := func(worker int, w *harness.Workbench) {
-		em.workerStarted()
-		defer em.workerDone()
-		// Each worker owns its probe: arrays it taints are its own
-		// workbench's, so probes never cross goroutines.
-		var probe *mem.Probe
-		if execCfg.Provenance {
-			probe = new(mem.Probe)
-		}
-		for {
-			n := atomic.AddInt64(&cursor, 1) - 1
-			if n >= int64(len(batches)) {
-				return
-			}
-			b := batches[n]
-			for k := b.lo; k < b.hi; k++ {
-				i := order[k]
-				if sc.skip(i) {
-					continue
-				}
-				p := plan[i]
-				o := execPlanned(execCfg, w, spec.Name, probe, p, worker, obs.TraceContext{})
-				outcomes[i] = o
-				sc.commit(i, o.class)
-				if pp != nil && cfg.PruneVerify && pp.decided[i] {
-					if msg := pruneMismatch(p, pp.preds[i], o); msg != "" {
-						mismatchMu.Lock()
-						pp.summary.Mismatches++
-						if len(mismatches) < 8 {
-							mismatches = append(mismatches, msg)
-						}
-						mismatchMu.Unlock()
-					}
-				}
-				em.tick(spec.Name, cfg.Components[p.comp], totals[p.comp])
-				// A class representative materializes its outcome onto every
-				// member right here on its own worker: member slots are
-				// excluded from the execution order, so no other goroutine
-				// touches them, and the materialized outcome is by
-				// construction what simulating the member would produce.
-				if dd != nil && !cfg.DedupVerify {
-					if ci := dd.classOf[i]; ci >= 0 && dd.classes[ci].Rep == i {
-						for _, m := range dd.classes[ci].Members {
-							if m == i || sc.skip(m) {
-								continue
-							}
-							outcomes[m] = o
-							sc.commit(m, o.class)
-							dd.emit(cfg, spec.Name, plan[m], o, worker, obs.TraceContext{})
-							em.tick(spec.Name, cfg.Components[plan[m].comp], totals[plan[m].comp])
-						}
-					}
-				}
-			}
-		}
-	}
-	var wg sync.WaitGroup
-	for ci, clone := range clones {
-		wg.Add(1)
-		go func(worker int, clone *harness.Workbench) {
-			defer wg.Done()
-			defer pool.Release()
-			harness.Phased("shard-execution", func() { drain(worker, clone) })
-		}(ci+1, clone)
-	}
-	// The caller's own slot drives the primary.
-	harness.Phased("shard-execution", func() { drain(0, wb) })
-	wg.Wait()
-
 	side.stop = sc.finish()
 	cuts := sc.cuts()
 
-	// Early stopping truncates the execution order; report the
-	// deterministic truncated count (slots within the cuts), not however
-	// many slots workers raced past the cut before it committed.
-	simulated := len(order)
-	if cuts != nil && !cfg.StopShadow {
-		sim := 0
-		for _, i := range order {
-			if i%cfg.FaultsPerComponent < cuts[i/cfg.FaultsPerComponent] {
-				sim++
-			}
-		}
-		simulated = sim
-	}
-	beyondCut := func(i int) bool {
-		return cuts != nil && i%cfg.FaultsPerComponent >= cuts[i/cfg.FaultsPerComponent]
-	}
-
-	if pp != nil {
-		pp.summary.Simulated = simulated
-		if cfg.PruneVerify {
-			pp.summary.Verified = pp.summary.Predicted
-		}
-		side.prune = &pp.summary
-		if len(mismatches) > 0 {
-			return nil, side, fmt.Errorf("gefin: prune-verify: %d predicted verdicts disagree with simulation on %s (first: %s)",
-				pp.summary.Mismatches, spec.Name, mismatches[0])
+	// Early stopping truncates the plan; report the deterministic count
+	// of simulations within the cuts, not however many slots workers
+	// raced past a cut before it committed. A verify run simulates all.
+	simulated := 0
+	for i, v := range via {
+		if v == bySim && (cfg.Verify || cuts == nil || i%cfg.FaultsPerComponent < cuts[i/cfg.FaultsPerComponent]) {
+			simulated++
 		}
 	}
-	if dd != nil {
-		dd.summary.Simulated = simulated
-		if cfg.DedupVerify {
-			// Shadow mode simulated every member above; check each against
-			// its representative now that all slots are final. Slots beyond
-			// a stopping cut never simulated, so they cannot be compared.
-			var dedupMismatches []string
-			for _, cl := range dd.classes {
-				if beyondCut(cl.Rep) {
-					continue
-				}
-				want := outcomes[cl.Rep]
-				for _, m := range cl.Members {
-					if m == cl.Rep || beyondCut(m) {
-						continue
-					}
-					dd.summary.Verified++
-					if msg := dedupMismatch(plan[m], plan[cl.Rep], want, outcomes[m]); msg != "" {
-						dd.summary.Mismatches++
-						if len(dedupMismatches) < 8 {
-							dedupMismatches = append(dedupMismatches, msg)
-						}
-					}
-				}
-			}
-			if len(dedupMismatches) > 0 {
-				side.dedup = &dd.summary
-				return nil, side, fmt.Errorf("gefin: dedup-verify: %d materialized verdicts disagree with simulation on %s (first: %s)",
-					dd.summary.Mismatches, spec.Name, dedupMismatches[0])
-			}
+	if p.pp != nil {
+		s := p.pp.summary
+		s.Simulated = simulated
+		if cfg.Verify {
+			s.Verified = s.Predicted
 		}
-		side.dedup = &dd.summary
+		side.prune = &s
 	}
-	if cfg.Exhaustive {
-		res, sweep := aggregateExhaustive(cfg, spec.Name, wb.Golden.Cycles, wb.Golden.Instructions, sizes, ep, outcomes)
+	if p.dd != nil {
+		s := p.dd.summary
+		s.Simulated = simulated
+		if cfg.Verify {
+			s.Verified = s.Deduped
+		}
+		side.dedup = &s
+	}
+	if p.ep != nil {
+		res, sweep := aggregateExhaustive(cfg, spec.Name, p.wb.Golden.Cycles, p.wb.Golden.Instructions, p.sizes, p.ep, outcomes)
 		side.sweep = sweep
 		return res, side, nil
 	}
-	return aggregate(cfg, spec.Name, wb.Golden.Cycles, wb.Golden.Instructions, sizes, outcomes, cuts), side, nil
+	return aggregate(cfg, spec.Name, p.wb.Golden.Cycles, p.wb.Golden.Instructions, p.sizes, outcomes, cuts), side, nil
 }
 
 // emitter adapts the shared meter to gefin progress events, adding the

@@ -77,12 +77,6 @@ type Config struct {
 	// Result and into trace records tagged predicted=true. Results are
 	// byte-identical with pruning on or off, at any worker count.
 	Prune bool
-	// PruneVerify runs the pre-filter in shadow mode: every injection is
-	// predicted AND simulated (with a provenance probe), and any predicted
-	// verdict that disagrees with the simulated mechanism or outcome fails
-	// the campaign. Slow — the cross-validation harness for Prune; implies
-	// Prune.
-	PruneVerify bool
 	// Dedup enables equivalence-class injection deduplication: planned
 	// injections striking the same fault site within the same inter-event
 	// quiescent window of the liveness replay are provably
@@ -94,12 +88,6 @@ type Config struct {
 	// contract as Prune. Composes with Prune: classes form over the
 	// pre-filter's undecided remainder.
 	Dedup bool
-	// DedupVerify runs deduplication in shadow mode: every class member
-	// is simulated (with a provenance probe) and compared against its
-	// representative's outcome, mechanism, and context observables; any
-	// disagreement fails the campaign. Slow — the cross-validation
-	// harness for Dedup; implies Dedup.
-	DedupVerify bool
 	// Exhaustive replaces statistical sampling with a full sweep: every
 	// (fault site x quiescent window) of the selected components is
 	// enumerated from the liveness replay — one planned injection per
@@ -130,12 +118,15 @@ type Config struct {
 	// DefaultStopCheckEvery. Part of the determinism surface — the same
 	// value must be used to reproduce a stopped Result.
 	StopCheckEvery int
-	// StopShadow executes the entire plan while still computing the
-	// sequential cuts, then emits the truncated aggregation: the
-	// Workloads of a shadow run are byte-identical to a genuinely
-	// stopped run's, which is how CI cross-checks the prefix property
-	// without trusting the stop path itself.
-	StopShadow bool
+	// Verify is the cross-validation mode of every shortcut: each slot is
+	// simulated with a provenance probe, whichever shortcut would have
+	// resolved it is checked against the simulation — a pre-filter
+	// prediction against the simulated mechanism and outcome, a class
+	// member against its representative — and any disagreement fails the
+	// campaign naming the slot. Sequential cuts are still computed but
+	// never applied, so a verify run's Workloads are byte-identical to a
+	// genuinely stopped run's. Slow; it turns on neither Prune nor Dedup.
+	Verify bool
 	// Provenance attaches a propagation-provenance probe to every
 	// injection: the struck location is tainted at flip time, the memory
 	// and CPU models report its lifecycle (first consuming read,
@@ -166,13 +157,7 @@ func (c Config) withDefaults() Config {
 	if c.CheckpointEvery > 0 && c.MaxCheckpoints == 0 {
 		c.MaxCheckpoints = soc.DefaultMaxCheckpoints
 	}
-	if c.PruneVerify {
-		c.Prune = true
-	}
-	if c.DedupVerify {
-		c.Dedup = true
-	}
-	if c.TargetMargin > 0 || c.StopShadow {
+	if c.TargetMargin > 0 {
 		// Pin the stop rule's full determinism surface into the config, so
 		// a serialized manifest reproduces the identical cuts.
 		if c.Confidence == 0 {
@@ -282,13 +267,13 @@ func (w *WorkloadResult) Component(c fault.Component) (ComponentResult, bool) {
 // exactly the part that differs.
 type PruneSummary struct {
 	// Predicted counts injections proven masked by the pre-filter and
-	// (outside shadow mode) excluded from simulation; Simulated counts
+	// (outside verify mode) excluded from simulation; Simulated counts
 	// the injections that ran on the simulator.
 	Predicted int `json:"predicted"`
 	Simulated int `json:"simulated"`
 	// ByMechanism counts predictions per masking-mechanism verdict.
 	ByMechanism map[string]int `json:"by_mechanism,omitempty"`
-	// Verified and Mismatches report shadow-mode cross-validation:
+	// Verified and Mismatches report verify-mode cross-validation:
 	// predictions checked against their simulated mechanism/outcome, and
 	// disagreements found (any mismatch also fails the campaign).
 	Verified   int `json:"verified,omitempty"`
@@ -313,7 +298,7 @@ func (s *PruneSummary) merge(o *PruneSummary) {
 }
 
 // PredictedFraction returns the fraction of planned injections the
-// pre-filter decided. In shadow mode every injection simulates, so the
+// pre-filter decided. In verify mode every injection simulates, so the
 // plan size is Simulated rather than the sum.
 func (s *PruneSummary) PredictedFraction() float64 {
 	if s == nil {
@@ -345,10 +330,10 @@ type DedupSummary struct {
 	Deduped   int `json:"deduped"`
 	Simulated int `json:"simulated"`
 	MaxClass  int `json:"max_class,omitempty"`
-	// Verified and Mismatches report shadow-mode cross-validation
-	// (DedupVerify): members simulated and compared against their
-	// representative's outcome, and disagreements found (any mismatch
-	// also fails the campaign).
+	// Verified and Mismatches report verify-mode cross-validation:
+	// members simulated and compared against their representative's
+	// outcome, and disagreements found (any mismatch also fails the
+	// campaign).
 	Verified   int `json:"verified,omitempty"`
 	Mismatches int `json:"mismatches,omitempty"`
 }
@@ -369,7 +354,7 @@ func (s *DedupSummary) merge(o *DedupSummary) {
 }
 
 // DedupedFraction returns the fraction of dedup-considered injections
-// resolved from a representative. In shadow mode every member simulates,
+// resolved from a representative. In verify mode every member simulates,
 // so the denominator is Simulated rather than the sum.
 func (s *DedupSummary) DedupedFraction() float64 {
 	if s == nil {
@@ -484,7 +469,7 @@ func (c Config) validate() error {
 	if !c.Exhaustive {
 		return nil
 	}
-	if c.TargetMargin > 0 || c.StopShadow {
+	if c.TargetMargin > 0 {
 		return fmt.Errorf("gefin: exhaustive sweeps measure the population exactly; sequential stopping does not apply")
 	}
 	if c.TLBFullEntry {

@@ -1,6 +1,6 @@
 // Campaign pre-filter glue: classify the pre-drawn plan against the
 // workload's liveness log, resolve decided slots without simulation, and
-// cross-check predictions against simulated verdicts in shadow mode.
+// cross-check predictions against simulated verdicts in verify mode.
 // Predictions carry the exact verdict simulation would conclude, so the
 // aggregated Workloads stay byte-identical with pruning on or off — the
 // predicted/simulated split surfaces only in PruneSummary and in trace
@@ -83,7 +83,7 @@ func (pp *prunePlan) emit(cfg Config, wb *harness.Workbench, workload string, i 
 	cfg.Obs.Record(rec, now, now)
 }
 
-// pruneMismatch compares a shadow-mode prediction against the simulated
+// pruneMismatch compares a verify-mode prediction against the simulated
 // verdict of the same slot and describes the disagreement ("" on match).
 // The simulated outcome comes from a provenance run, so o.mech is the
 // probe's mechanism verdict.

@@ -91,87 +91,3 @@ func TestPruneSummarySplit(t *testing.T) {
 		t.Fatalf("predicted fraction %f out of (0,1)", f)
 	}
 }
-
-// TestPruneVerifyShadowMode is the cross-validation harness: shadow mode
-// predicts every plan slot AND simulates it with the provenance probe
-// armed, then fails the campaign on any disagreement. Zero mismatches at
-// one worker and four, on both workloads, validates the liveness
-// pre-filter against ground truth.
-func TestPruneVerifyShadowMode(t *testing.T) {
-	for _, workload := range []string{"crc32", "matmul"} {
-		for _, workers := range []int{1, 4} {
-			cfg := pruneConfig(2027)
-			cfg.Workers = workers
-			cfg.CheckpointEvery = soc.DefaultCheckpointEvery
-			cfg.PruneVerify = true
-			spec, _ := bench.ByName(workload)
-			res, err := Run(cfg, []bench.Spec{spec}, nil)
-			if err != nil {
-				t.Fatalf("%s workers=%d: %v", workload, workers, err)
-			}
-			s := res.Prune
-			if s == nil || s.Predicted == 0 {
-				t.Fatalf("%s workers=%d: shadow mode predicted nothing", workload, workers)
-			}
-			if s.Verified != s.Predicted || s.Mismatches != 0 {
-				t.Fatalf("%s workers=%d: verified %d/%d with %d mismatches",
-					workload, workers, s.Verified, s.Predicted, s.Mismatches)
-			}
-			if want := PlanLen(cfg.withDefaults()); s.Simulated != want {
-				t.Fatalf("%s workers=%d: shadow mode simulated %d of %d", workload, workers, s.Simulated, want)
-			}
-		}
-	}
-}
-
-// TestPruneShardInvariance extends the contract to the campaign-service
-// path: shards executed by a pruned runner assemble into the same
-// WorkloadResult as an unpruned in-process run, and the wire outcomes
-// carry the predicted/simulated split for the coordinator.
-func TestPruneShardInvariance(t *testing.T) {
-	cfg := pruneConfig(2028)
-	cfg.CheckpointEvery = soc.DefaultCheckpointEvery
-	spec, _ := bench.ByName("crc32")
-	ref := runSmall(t, cfg, "crc32")
-
-	pcfg := cfg
-	pcfg.Prune = true
-	r := NewShardRunner(pcfg)
-	n := PlanLen(pcfg)
-	var outs []ShardOutcome
-	var meta ShardMeta
-	for lo := 0; lo < n; lo += 7 {
-		hi := lo + 7
-		if hi > n {
-			hi = n
-		}
-		part, m, err := r.RunShard(spec, lo, hi)
-		if err != nil {
-			t.Fatal(err)
-		}
-		outs = append(outs, part...)
-		meta = m
-	}
-	res, err := AssembleWorkload(pcfg, "crc32", meta, outs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	equalComponentResults(t, ref, res)
-
-	s := ShardPruneSummary(outs)
-	if s.Predicted == 0 || s.Predicted+s.Simulated != n {
-		t.Fatalf("shard split %d/%d over plan %d", s.Predicted, s.Simulated, n)
-	}
-	if total := MergePruneSummaries([]*PruneSummary{s, nil}); total.Predicted != s.Predicted {
-		t.Fatalf("merge dropped predictions: %d vs %d", total.Predicted, s.Predicted)
-	}
-
-	// Shadow mode on the shard path: every slot simulates and the runner
-	// fails the shard on any disagreement.
-	vcfg := cfg
-	vcfg.PruneVerify = true
-	vr := NewShardRunner(vcfg)
-	if _, _, err := vr.RunShard(spec, 0, n); err != nil {
-		t.Fatalf("shard shadow mode: %v", err)
-	}
-}

@@ -14,8 +14,6 @@ import (
 
 	"armsefi/internal/bench"
 	"armsefi/internal/core/fault"
-	"armsefi/internal/core/harness"
-	"armsefi/internal/mem"
 	"armsefi/internal/obs"
 )
 
@@ -69,10 +67,11 @@ func PlanComponents(cfg Config) (comps []fault.Component, perComp int) {
 }
 
 // ShardRunner executes plan shards for one campaign Config, caching one
-// prepared workbench (boot + golden run + optional checkpoint ladder)
-// per workload so consecutive shards of the same workload pay no setup.
-// A runner is single-goroutine (one simulated machine per workload);
-// run several runners for parallelism.
+// prepared workload (boot + golden run + optional checkpoint ladder,
+// plan, pre-filter verdicts and dedup partition) per workload so
+// consecutive shards of the same workload pay no setup. A runner is
+// single-goroutine (one simulated machine per workload); run several
+// runners for parallelism.
 type ShardRunner struct {
 	cfg Config
 	// Worker tags trace records emitted during shard runs, so a node's
@@ -82,161 +81,63 @@ type ShardRunner struct {
 	// (campaign/shard/node/span); the campaign-service worker sets it per
 	// assignment. The zero context stamps nothing.
 	Ctx     obs.TraceContext
-	benches map[string]*shardBench
-}
-
-type shardBench struct {
-	wb    *harness.Workbench
-	plan  []plannedFault
-	sizes []uint64
-	probe *mem.Probe
-	// pp holds the pre-filter verdicts over the whole plan (pruned
-	// campaigns only). Prediction is a pure function of the deterministic
-	// liveness replay and the pre-drawn plan, so every node of a
-	// distributed campaign derives identical verdicts for its shards.
-	pp *prunePlan
-	// dd holds the equivalence-class partition over the whole plan
-	// (deduplicated campaigns only) — like pp, identical on every node.
-	// Each RunShard call elects shard-local representatives: the first
-	// member of a class inside [lo, hi) simulates, later members in the
-	// same range materialize its outcome. Different shards of one class
-	// each simulate their own representative — redundant across shards but
-	// provably outcome-identical, so assembly stays bit-exact.
-	dd *dedupPlan
+	benches map[string]*prepared
 }
 
 // NewShardRunner builds a runner for the campaign Config. The Config is
 // normalised exactly like Run normalises it, so shard execution sees the
 // same effective knobs as an in-process campaign.
 func NewShardRunner(cfg Config) *ShardRunner {
-	return &ShardRunner{cfg: cfg.withDefaults(), benches: make(map[string]*shardBench)}
-}
-
-func (r *ShardRunner) bench(spec bench.Spec) (*shardBench, error) {
-	if b, ok := r.benches[spec.Name]; ok {
-		return b, nil
-	}
-	wb, err := prepareWorkbench(r.cfg, spec)
-	if err != nil {
-		return nil, err
-	}
-	plan, sizes := planFor(r.cfg, wb, spec.Name)
-	b := &shardBench{wb: wb, plan: plan, sizes: sizes}
-	if r.cfg.Provenance || r.cfg.PruneVerify || r.cfg.DedupVerify {
-		b.probe = new(mem.Probe)
-	}
-	if r.cfg.Prune {
-		b.pp = predictPlan(wb, plan)
-	}
-	if r.cfg.Dedup {
-		b.dd = buildDedup(r.cfg, wb, spec.Name, plan, b.pp)
-	}
-	r.benches[spec.Name] = b
-	return b, nil
+	return &ShardRunner{cfg: cfg.withDefaults(), benches: make(map[string]*prepared)}
 }
 
 // RunShard executes plan slots [lo, hi) of the workload and returns their
 // outcomes in slot order plus the workload's meta. The first shard of a
-// workload pays the workbench setup (kernel boot, golden run, ladder
-// capture); later shards reuse it.
+// workload pays the setup (kernel boot, golden run, ladder capture,
+// liveness replay); later shards reuse it. The range resolves exactly as
+// an in-process run resolves the whole plan, with class representatives
+// elected inside the range: a class split across shards simulates once
+// per shard — redundant but outcome-identical, so assembly stays
+// bit-exact and every shard stays independently leasable.
 func (r *ShardRunner) RunShard(spec bench.Spec, lo, hi int) ([]ShardOutcome, ShardMeta, error) {
-	b, err := r.bench(spec)
+	p, ok := r.benches[spec.Name]
+	if !ok {
+		var err error
+		if p, err = prepare(r.cfg, spec); err != nil {
+			return nil, ShardMeta{}, err
+		}
+		r.benches[spec.Name] = p
+	}
+	if lo < 0 || hi > len(p.plan) || lo >= hi {
+		return nil, ShardMeta{}, fmt.Errorf("gefin: shard [%d,%d) out of plan range [0,%d)", lo, hi, len(p.plan))
+	}
+	outs, via, err := p.resolve(r.cfg, lo, hi, execution{tc: r.Ctx, worker: r.Worker})
 	if err != nil {
 		return nil, ShardMeta{}, err
 	}
-	if lo < 0 || hi > len(b.plan) || lo >= hi {
-		return nil, ShardMeta{}, fmt.Errorf("gefin: shard [%d,%d) out of plan range [0,%d)", lo, hi, len(b.plan))
-	}
-	execCfg := r.cfg
-	if r.cfg.PruneVerify || r.cfg.DedupVerify {
-		execCfg.Provenance = true
-	}
-	var outs []ShardOutcome
-	var shardErr error
-	harness.Phased("shard-execution", func() { outs, shardErr = r.runRange(spec, b, execCfg, lo, hi) })
-	if shardErr != nil {
-		return nil, ShardMeta{}, shardErr
-	}
-	return outs, r.meta(b), nil
-}
-
-// repOutcome records a shard-local class representative: the first
-// simulated member of a class inside the shard's plan range.
-type repOutcome struct {
-	slot int
-	o    outcome
-}
-
-// runRange executes plan slots [lo, hi) — the profiled shard-execution
-// phase of RunShard.
-func (r *ShardRunner) runRange(spec bench.Spec, b *shardBench, execCfg Config, lo, hi int) ([]ShardOutcome, error) {
-	var reps map[int]repOutcome
-	outs := make([]ShardOutcome, 0, hi-lo)
-	for i := lo; i < hi; i++ {
-		// Pre-filter: a decided slot resolves to its predicted outcome
-		// without touching the simulator (in shadow mode it simulates too,
-		// and a disagreement fails the shard so the coordinator surfaces it).
-		if b.pp != nil && b.pp.decided[i] && !r.cfg.PruneVerify {
-			pred := b.pp.preds[i]
-			b.pp.emit(r.cfg, b.wb, spec.Name, i, b.plan[i], r.Worker, r.Ctx)
-			outs = append(outs, ShardOutcome{
-				Class: pred.Class, Valid: pred.Valid, Kernel: pred.Kernel,
-				Predicted: true, Mechanism: pred.Mech.String(),
-			})
-			continue
+	wire := make([]ShardOutcome, len(outs))
+	for k, o := range outs {
+		wire[k] = ShardOutcome{Class: o.class, Valid: o.valid, Kernel: o.kernel}
+		switch via[k] {
+		case byPrediction:
+			wire[k].Predicted, wire[k].Mechanism = true, o.mech.String()
+		case byDedup:
+			wire[k].Dedup = true
 		}
-		// Deduplication: a later member of a class whose representative
-		// already simulated in this range materializes its outcome.
-		ci := -1
-		if b.dd != nil {
-			ci = b.dd.classOf[i]
-		}
-		if ci >= 0 && !r.cfg.DedupVerify {
-			if rep, ok := reps[ci]; ok {
-				b.dd.emit(r.cfg, spec.Name, b.plan[i], rep.o, r.Worker, r.Ctx)
-				outs = append(outs, ShardOutcome{Class: rep.o.class, Valid: rep.o.valid, Kernel: rep.o.kernel, Dedup: true})
-				continue
-			}
-		}
-		o := execPlanned(execCfg, b.wb, spec.Name, b.probe, b.plan[i], r.Worker, r.Ctx)
-		if b.pp != nil && r.cfg.PruneVerify && b.pp.decided[i] {
-			if msg := pruneMismatch(b.plan[i], b.pp.preds[i], o); msg != "" {
-				return nil, fmt.Errorf("gefin: prune-verify: prediction disagrees with simulation on %s: %s", spec.Name, msg)
-			}
-		}
-		if ci >= 0 {
-			if rep, ok := reps[ci]; ok {
-				// Shadow mode (the representative path above is bypassed):
-				// compare the member's simulation against its shard-local
-				// representative and fail the shard on disagreement.
-				if msg := dedupMismatch(b.plan[i], b.plan[rep.slot], rep.o, o); msg != "" {
-					return nil, fmt.Errorf("gefin: dedup-verify: materialized verdict disagrees with simulation on %s: %s", spec.Name, msg)
-				}
-			} else {
-				if reps == nil {
-					reps = make(map[int]repOutcome)
-				}
-				reps[ci] = repOutcome{slot: i, o: o}
-			}
-		}
-		outs = append(outs, ShardOutcome{Class: o.class, Valid: o.valid, Kernel: o.kernel})
 	}
-	return outs, nil
-}
-
-func (r *ShardRunner) meta(b *shardBench) ShardMeta {
-	return ShardMeta{
-		GoldenCycles: b.wb.Golden.Cycles,
-		GoldenInstrs: b.wb.Golden.Instructions,
-		SizeBits:     append([]uint64(nil), b.sizes...),
+	meta := ShardMeta{
+		GoldenCycles: p.wb.Golden.Cycles,
+		GoldenInstrs: p.wb.Golden.Instructions,
+		SizeBits:     append([]uint64(nil), p.sizes...),
 	}
+	return wire, meta, nil
 }
 
 // Release drops the cached workbench of a finished workload (or all of
 // them for the empty string), freeing its simulated DRAM and ladder.
 func (r *ShardRunner) Release(workload string) {
 	if workload == "" {
-		r.benches = make(map[string]*shardBench)
+		r.benches = make(map[string]*prepared)
 		return
 	}
 	delete(r.benches, workload)

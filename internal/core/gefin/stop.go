@@ -60,7 +60,7 @@ type StopSummary struct {
 	Planned  int `json:"planned"`
 	Executed int `json:"executed"`
 	Saved    int `json:"saved"`
-	// Shadow marks a run that executed the full plan (Config.StopShadow)
+	// Shadow marks a run that executed the full plan (Config.Verify)
 	// while computing the same cuts — the cross-check mode CI diffs
 	// against a genuinely stopped run.
 	Shadow     bool            `json:"shadow,omitempty"`
@@ -126,7 +126,7 @@ func newStopController(cfg Config, workload string, planLen int, tc obs.TraceCon
 		rule:     rule,
 		every:    every,
 		perComp:  cfg.FaultsPerComponent,
-		shadow:   cfg.StopShadow,
+		shadow:   cfg.Verify,
 		workload: workload,
 		comps:    cfg.Components,
 		ob:       cfg.Obs,
@@ -148,7 +148,7 @@ func newStopController(cfg Config, workload string, planLen int, tc obs.TraceCon
 
 // skip reports whether plan slot i falls at or past its component's
 // committed truncation point — workers consult it before executing.
-// Shadow mode never skips: the whole plan executes while the cuts are
+// A verify run never skips: the whole plan executes while the cuts are
 // still computed, so the truncated aggregation can be cross-checked
 // against a genuinely stopped run.
 func (sc *stopController) skip(i int) bool {
@@ -184,7 +184,7 @@ func (sc *stopController) commit(i int, cls fault.Class) {
 					if sc.cut[ci].Load() >= 0 {
 						// The rule fired: freeze the prefix at the cut so
 						// the estimators report exactly the truncated
-						// aggregation, in shadow mode too.
+						// aggregation, in a verify run too.
 						break
 					}
 				}

@@ -60,47 +60,6 @@ func TestStopWorkerInvariance(t *testing.T) {
 	}
 }
 
-// TestStopMatchesShadowPrefix cross-checks the prefix property without
-// trusting the stop path: a shadow run executes the full plan, computes
-// the same cuts, and emits the truncated aggregation — byte-identical
-// Workloads to the genuinely stopped run.
-func TestStopMatchesShadowPrefix(t *testing.T) {
-	spec, ok := bench.ByName("crc32")
-	if !ok {
-		t.Fatal("workload crc32 missing")
-	}
-	stopped := stopConfig()
-	shadow := stopConfig()
-	shadow.StopShadow = true
-	shadow.Workers = 3
-	a, err := Run(stopped, []bench.Spec{spec}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Run(shadow, []bench.Spec{spec}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if aw, bw := mustJSON(t, a.Workloads), mustJSON(t, b.Workloads); string(aw) != string(bw) {
-		t.Errorf("stopped Workloads differ from shadow run's truncated aggregation:\n%s\nvs\n%s", aw, bw)
-	}
-	if !b.Stop.Shadow {
-		t.Error("shadow summary must be marked")
-	}
-	// Both runs derive the identical cuts.
-	ac, bc := a.Stop.Components, b.Stop.Components
-	if len(ac) != len(bc) || len(ac) == 0 {
-		t.Fatalf("component summaries: %d vs %d", len(ac), len(bc))
-	}
-	for i := range ac {
-		// Every field — cut, looks, margin — is a deterministic function of
-		// the identical plan-order prefix, so exact equality holds.
-		if ac[i] != bc[i] {
-			t.Errorf("cuts differ: %+v vs %+v", ac[i], bc[i])
-		}
-	}
-}
-
 // TestStopSummaryShape checks the summary's arithmetic and that the loose
 // margin genuinely saved injections — the point of the feature.
 func TestStopSummaryShape(t *testing.T) {

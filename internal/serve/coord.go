@@ -801,10 +801,10 @@ func Assemble(man *Manifest, done map[int]json.RawMessage) (any, error) {
 				return nil, err
 			}
 			res.Workloads = append(res.Workloads, *wr)
-			if man.Injection.Prune || man.Injection.PruneVerify {
+			if man.Injection.Prune {
 				prunes = append(prunes, gefin.ShardPruneSummary(outs))
 			}
-			if man.Injection.Dedup || man.Injection.DedupVerify {
+			if man.Injection.Dedup {
 				dedups = append(dedups, gefin.ShardDedupSummary(outs))
 			}
 		}

@@ -67,59 +67,91 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) (int, error) {
 	if cfg.PollInterval <= 0 {
 		cfg.PollInterval = 200 * time.Millisecond
 	}
+	w := newWorkerLoop(cfg)
+	done := 0
+	for ctx.Err() == nil {
+		ran, err := w.step(ctx)
+		if err != nil {
+			return done, err
+		}
+		if ran {
+			done++
+			continue
+		}
+		select {
+		case <-ctx.Done():
+		case <-time.After(cfg.PollInterval):
+		}
+	}
+	return done, nil
+}
+
+// workerLoop is one worker's state across claims.
+type workerLoop struct {
+	cfg WorkerConfig
 	// One runner cache per campaign: a runner holds prepared workbenches
 	// (boot + golden + ladder), so consecutive shards of the same
-	// campaign and workload pay no setup.
-	injRunners := make(map[string]*gefin.ShardRunner)
-	beamRunners := make(map[string]*beam.ShardRunner)
+	// campaign and workload pay no setup. The caches are dropped whenever
+	// the source has nothing to hand out, so finished campaigns do not
+	// keep their simulated machines alive.
+	injRunners  map[string]*gefin.ShardRunner
+	beamRunners map[string]*beam.ShardRunner
 	// One convergence tally per injection campaign: the node's cumulative
 	// per-(workload, component, class) counts over the shards it executed,
 	// emitted through the observer after each shard (the telemetry shipper
 	// intercepts the records and federates the snapshots). Beam campaigns
-	// stream theirs from inside the chain via ShardRunner.Conv.
-	injConvs := make(map[string]*injConvTally)
-	done := 0
-	for {
-		if ctx.Err() != nil {
-			return done, nil
-		}
-		if cfg.Pool != nil {
-			if err := cfg.Pool.AcquireCtx(ctx); err != nil {
-				return done, nil // cancelled while waiting for a slot
-			}
-		}
-		a, err := cfg.Source.Claim(cfg.Node)
-		if err != nil || a == nil {
-			if cfg.Pool != nil {
-				cfg.Pool.Release()
-			}
-			select {
-			case <-ctx.Done():
-				return done, nil
-			case <-time.After(cfg.PollInterval):
-			}
-			continue
-		}
-		payload, execErr := executeShard(ctx, cfg, a, injRunners, beamRunners, injConvs)
-		if execErr == nil {
-			execErr = cfg.Source.Complete(cfg.Node, a.Campaign, a.Shard, a.Span, payload)
-		}
-		if cfg.Pool != nil {
-			cfg.Pool.Release()
-		}
-		if execErr != nil {
-			return done, fmt.Errorf("serve: node %s campaign %s shard %d: %w", cfg.Node, a.Campaign, a.Shard, execErr)
-		}
-		done++
+	// stream theirs from inside the chain into a campaign-wide registry
+	// (ShardRunner.Conv). Tallies and registries are small and survive
+	// idle periods, so a campaign's node-level counts stay cumulative.
+	injConvs  map[string]*injConvTally
+	beamConvs map[string]*obs.ConvRegistry
+}
+
+func newWorkerLoop(cfg WorkerConfig) *workerLoop {
+	return &workerLoop{
+		cfg:         cfg,
+		injRunners:  make(map[string]*gefin.ShardRunner),
+		beamRunners: make(map[string]*beam.ShardRunner),
+		injConvs:    make(map[string]*injConvTally),
+		beamConvs:   make(map[string]*obs.ConvRegistry),
 	}
+}
+
+// step claims and executes at most one shard, reporting whether it ran
+// one. A claim error or an empty claim returns (false, nil) so the
+// caller backs off and retries; an empty claim also releases the cached
+// runners, since nothing is in flight for them.
+func (w *workerLoop) step(ctx context.Context) (bool, error) {
+	cfg := w.cfg
+	if cfg.Pool != nil {
+		if err := cfg.Pool.AcquireCtx(ctx); err != nil {
+			return false, nil // cancelled while waiting for a slot
+		}
+		defer cfg.Pool.Release()
+	}
+	a, err := cfg.Source.Claim(cfg.Node)
+	if err != nil {
+		return false, nil
+	}
+	if a == nil {
+		clear(w.injRunners)
+		clear(w.beamRunners)
+		return false, nil
+	}
+	payload, execErr := w.executeShard(ctx, a)
+	if execErr == nil {
+		execErr = cfg.Source.Complete(cfg.Node, a.Campaign, a.Shard, a.Span, payload)
+	}
+	if execErr != nil {
+		return false, fmt.Errorf("serve: node %s campaign %s shard %d: %w", cfg.Node, a.Campaign, a.Shard, execErr)
+	}
+	return true, nil
 }
 
 // executeShard runs one assignment, renewing the lease at a third of its
 // TTL while the simulated machine works.
-func executeShard(ctx context.Context, cfg WorkerConfig, a *Assignment,
-	injRunners map[string]*gefin.ShardRunner, beamRunners map[string]*beam.ShardRunner,
-	injConvs map[string]*injConvTally) (*ShardPayload, error) {
-
+func (w *workerLoop) executeShard(ctx context.Context, a *Assignment) (*ShardPayload, error) {
+	cfg := w.cfg
 	spec, ok := bench.ByName(a.Workload)
 	if !ok {
 		return nil, fmt.Errorf("unknown workload %q", a.Workload)
@@ -137,7 +169,7 @@ func executeShard(ctx context.Context, cfg WorkerConfig, a *Assignment,
 		if a.Injection == nil {
 			return nil, fmt.Errorf("injection assignment without config")
 		}
-		r, ok := injRunners[a.Campaign]
+		r, ok := w.injRunners[a.Campaign]
 		if !ok {
 			// Copy the config before attaching the worker's observer: the
 			// assignment may share the coordinator's manifest pointer when
@@ -146,7 +178,7 @@ func executeShard(ctx context.Context, cfg WorkerConfig, a *Assignment,
 			cc.Obs = cfg.Obs
 			r = gefin.NewShardRunner(cc)
 			r.Worker = cfg.Worker
-			injRunners[a.Campaign] = r
+			w.injRunners[a.Campaign] = r
 		}
 		r.Ctx = tc
 		outs, meta, err := r.RunShard(spec, a.Lo, a.Hi)
@@ -154,10 +186,10 @@ func executeShard(ctx context.Context, cfg WorkerConfig, a *Assignment,
 			return nil, err
 		}
 		if cfg.Obs.On() {
-			ct, ok := injConvs[a.Campaign]
+			ct, ok := w.injConvs[a.Campaign]
 			if !ok {
 				ct = newInjConvTally(*a.Injection)
-				injConvs[a.Campaign] = ct
+				w.injConvs[a.Campaign] = ct
 			}
 			cfg.Obs.Convergence(ct.record(a.Workload, a.Lo, outs), tc)
 		}
@@ -166,7 +198,7 @@ func executeShard(ctx context.Context, cfg WorkerConfig, a *Assignment,
 		if a.Beam == nil {
 			return nil, fmt.Errorf("beam assignment without config")
 		}
-		r, ok := beamRunners[a.Campaign]
+		r, ok := w.beamRunners[a.Campaign]
 		if !ok {
 			cc := *a.Beam
 			cc.Obs = cfg.Obs
@@ -175,9 +207,12 @@ func executeShard(ctx context.Context, cfg WorkerConfig, a *Assignment,
 			if cfg.Obs.On() {
 				// The chains stream their estimates into a campaign-wide
 				// registry; the observer's records carry them to the shipper.
-				r.Conv = obs.NewConvRegistry(convRule(cc.TargetMargin, cc.Confidence))
+				if w.beamConvs[a.Campaign] == nil {
+					w.beamConvs[a.Campaign] = obs.NewConvRegistry(convRule(cc.TargetMargin, cc.Confidence))
+				}
+				r.Conv = w.beamConvs[a.Campaign]
 			}
-			beamRunners[a.Campaign] = r
+			w.beamRunners[a.Campaign] = r
 		}
 		r.Ctx = tc
 		chain, meta, err := r.RunShard(spec, a.Lo)
