@@ -18,6 +18,7 @@ package main
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -130,13 +131,21 @@ func parseBench(r io.Reader) (map[string]measurement, error) {
 	return out, sc.Err()
 }
 
-func run() error {
+// run checks benchmark output (the -input file, or stdin) against the
+// baseline's guards, printing one verdict line per guard to stdout.
+func run(args []string, stdin io.Reader, stdout io.Writer) error {
+	fs := flag.NewFlagSet("perfguard", flag.ContinueOnError)
 	var (
-		baselinePath = flag.String("baseline", "BENCH_kernel.json", "committed baseline record with the guard definitions")
-		inputPath    = flag.String("input", "", "benchmark output file (default: stdin)")
-		tolerance    = flag.Float64("tolerance", 0.10, "allowed fractional regression below each recorded ratio")
+		baselinePath = fs.String("baseline", "BENCH_kernel.json", "committed baseline record with the guard definitions")
+		inputPath    = fs.String("input", "", "benchmark output file (default: stdin)")
+		tolerance    = fs.Float64("tolerance", 0.10, "allowed fractional regression below each recorded ratio")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
+		return err
+	}
 
 	raw, err := os.ReadFile(*baselinePath)
 	if err != nil {
@@ -146,11 +155,11 @@ func run() error {
 	if err := json.Unmarshal(raw, &base); err != nil {
 		return fmt.Errorf("parse %s: %w", *baselinePath, err)
 	}
-	if len(base.Guards.Ratios) == 0 && len(base.Guards.ZeroAllocs) == 0 {
+	if len(base.Guards.Ratios) == 0 && len(base.Guards.ZeroAllocs) == 0 && len(base.Guards.MetricFloors) == 0 {
 		return fmt.Errorf("%s defines no guards", *baselinePath)
 	}
 
-	var in io.Reader = os.Stdin
+	in := stdin
 	if *inputPath != "" {
 		f, err := os.Open(*inputPath)
 		if err != nil {
@@ -169,7 +178,7 @@ func run() error {
 		fast, okF := results[g.Fast]
 		slow, okS := results[g.Slow]
 		if !okF || !okS {
-			fmt.Printf("FAIL %s: missing benchmark results (%s and/or %s not in input)\n", g.Name, g.Fast, g.Slow)
+			fmt.Fprintf(stdout, "FAIL %s: missing benchmark results (%s and/or %s not in input)\n", g.Name, g.Fast, g.Slow)
 			failed++
 			continue
 		}
@@ -180,39 +189,39 @@ func run() error {
 			verdict = "FAIL"
 			failed++
 		}
-		fmt.Printf("%s %s: %.2fx (recorded %.2fx, floor %.2fx)\n", verdict, g.Name, ratio, g.Recorded, floor)
+		fmt.Fprintf(stdout, "%s %s: %.2fx (recorded %.2fx, floor %.2fx)\n", verdict, g.Name, ratio, g.Recorded, floor)
 	}
 	for _, g := range base.Guards.MetricFloors {
 		m, ok := results[g.Bench]
 		v, has := m.metrics[g.Metric]
 		switch {
 		case !ok:
-			fmt.Printf("FAIL %s: benchmark %s not in input\n", g.Name, g.Bench)
+			fmt.Fprintf(stdout, "FAIL %s: benchmark %s not in input\n", g.Name, g.Bench)
 			failed++
 		case !has:
-			fmt.Printf("FAIL %s: %s reports no %q metric\n", g.Name, g.Bench, g.Metric)
+			fmt.Fprintf(stdout, "FAIL %s: %s reports no %q metric\n", g.Name, g.Bench, g.Metric)
 			failed++
 		case v < g.Floor:
-			fmt.Printf("FAIL %s: %s %s = %.4g, floor %.4g\n", g.Name, g.Bench, g.Metric, v, g.Floor)
+			fmt.Fprintf(stdout, "FAIL %s: %s %s = %.4g, floor %.4g\n", g.Name, g.Bench, g.Metric, v, g.Floor)
 			failed++
 		default:
-			fmt.Printf("ok   %s: %s %s = %.4g (floor %.4g)\n", g.Name, g.Bench, g.Metric, v, g.Floor)
+			fmt.Fprintf(stdout, "ok   %s: %s %s = %.4g (floor %.4g)\n", g.Name, g.Bench, g.Metric, v, g.Floor)
 		}
 	}
 	for _, name := range base.Guards.ZeroAllocs {
 		m, ok := results[name]
 		switch {
 		case !ok:
-			fmt.Printf("FAIL zero-alloc %s: not in input\n", name)
+			fmt.Fprintf(stdout, "FAIL zero-alloc %s: not in input\n", name)
 			failed++
 		case !m.hasAlloc:
-			fmt.Printf("FAIL zero-alloc %s: no allocs/op column (run with -benchmem or ReportAllocs)\n", name)
+			fmt.Fprintf(stdout, "FAIL zero-alloc %s: no allocs/op column (run with -benchmem or ReportAllocs)\n", name)
 			failed++
 		case m.allocs != 0:
-			fmt.Printf("FAIL zero-alloc %s: %.0f allocs/op, want 0\n", name, m.allocs)
+			fmt.Fprintf(stdout, "FAIL zero-alloc %s: %.0f allocs/op, want 0\n", name, m.allocs)
 			failed++
 		default:
-			fmt.Printf("ok   zero-alloc %s: 0 allocs/op\n", name)
+			fmt.Fprintf(stdout, "ok   zero-alloc %s: 0 allocs/op\n", name)
 		}
 	}
 	if failed > 0 {
@@ -222,7 +231,7 @@ func run() error {
 }
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdin, os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "perfguard:", err)
 		os.Exit(1)
 	}

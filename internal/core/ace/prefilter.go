@@ -3,7 +3,7 @@
 // package integrates un-ACE time into an AVF estimate, the pre-filter
 // asks the sharper per-fault question — "is THIS bit at THIS cycle
 // provably un-ACE?" — against the event-exact liveness log of one
-// instrumented golden replay (soc.ReplayLiveness). A decided prediction
+// instrumented golden replay (soc.ReplayGolden). A decided prediction
 // carries the same mechanism verdict the provenance probe would have
 // produced, so pruned campaigns stay byte-identical to simulated ones;
 // anything the log cannot prove stays undecided and is simulated.

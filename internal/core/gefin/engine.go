@@ -85,21 +85,16 @@ func prepareWorkbench(cfg Config, spec bench.Spec) (*harness.Workbench, error) {
 	if err != nil {
 		return nil, fmt.Errorf("gefin: %w", err)
 	}
-	if cfg.CheckpointEvery > 0 {
-		// One instrumented golden replay per workload; clones share the
-		// resulting ladder, so the capture cost is paid once.
-		if err := wb.BuildLadder(cfg.CheckpointEvery, cfg.MaxCheckpoints, cfg.WarmCaches); err != nil {
-			return nil, fmt.Errorf("gefin: %w", err)
-		}
-		cfg.Obs.LadderMemory(spec.Name, wb.Ladder.MemoryBytes(), wb.Ladder.SharedBytes())
+	// One instrumented golden replay per workload captures the ladder and
+	// records the liveness log the pre-filter, the equivalence-class
+	// partitioner and the exhaustive enumerator classify against, as
+	// configured; clones share both, so the cost is paid once.
+	live := cfg.Prune || cfg.Dedup || cfg.Exhaustive
+	if err := wb.Instrument(cfg.CheckpointEvery, cfg.MaxCheckpoints, live, cfg.WarmCaches); err != nil {
+		return nil, fmt.Errorf("gefin: %w", err)
 	}
-	if cfg.Prune || cfg.Dedup || cfg.Exhaustive {
-		// A second instrumented replay records the liveness log the
-		// pre-filter, the equivalence-class partitioner, and the exhaustive
-		// enumerator all classify against; clones share it too.
-		if err := wb.BuildLiveness(cfg.WarmCaches); err != nil {
-			return nil, fmt.Errorf("gefin: %w", err)
-		}
+	if wb.Ladder != nil {
+		cfg.Obs.LadderMemory(spec.Name, wb.Ladder.MemoryBytes(), wb.Ladder.SharedBytes())
 	}
 	return wb, nil
 }

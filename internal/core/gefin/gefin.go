@@ -68,8 +68,9 @@ type Config struct {
 	// default) disables all instrumentation at zero cost. Tracing does
 	// not perturb results: the fault plan and execution are unchanged.
 	Obs *obs.Observer `json:"-"`
-	// Prune enables the ACE-style campaign pre-filter: one instrumented
-	// golden replay per workload records per-location liveness, each
+	// Prune enables the ACE-style campaign pre-filter: the workload's
+	// instrumented golden replay (the same pass that captures the ladder
+	// when it is on) records per-location liveness, each
 	// planned injection is classified against the log, and injections
 	// proven masked (never-read, overwritten, evicted-clean, or latent at
 	// run end) skip the simulator — their predicted verdicts, which are by

@@ -20,8 +20,10 @@ import (
 )
 
 // Phased runs fn under a pprof "phase" label, so -cpuprofile output
-// attributes campaign time to its phase — golden replay, ladder capture,
-// liveness build, shard execution — instead of one flat profile.
+// attributes campaign time to its phase instead of one flat profile. The
+// labels are "golden-replay" (the plain golden run New validates),
+// "instrumented-replay" (the one replay that captures the ladder and/or
+// records liveness) and "shard-execution" (injection runs).
 func Phased(phase string, fn func()) {
 	pprof.Do(context.Background(), pprof.Labels("phase", phase), func(context.Context) { fn() })
 }
@@ -46,13 +48,15 @@ type Workbench struct {
 	// a hang.
 	Watchdog uint64
 	// Ladder is the golden-run checkpoint ladder, built on demand by
-	// BuildLadder. When present (and its warm mode matches), fault runs
-	// fast-forward to the nearest rung below the injection cycle and exit
-	// early on golden convergence. Immutable once built; clones share it.
+	// Instrument (or BuildLadder). When present (and its warm mode
+	// matches), fault runs fast-forward to the nearest rung below the
+	// injection cycle and exit early on golden convergence. Immutable once
+	// built; clones share it.
 	Ladder *soc.Ladder
 	// Liveness is the instrumented golden replay's liveness log, built on
-	// demand by BuildLiveness for campaigns that prune provably-masked
-	// injections before simulating. Immutable once built; clones share it.
+	// demand by Instrument (or BuildLiveness) for campaigns that prune
+	// provably-masked injections before simulating. Immutable once built;
+	// clones share it.
 	Liveness *soc.LivenessLog
 }
 
@@ -143,75 +147,82 @@ func (w *Workbench) Clone() (*Workbench, error) {
 }
 
 // BuildLadder captures the golden-run checkpoint ladder used to accelerate
-// subsequent fault runs: rungs every `every` cycles (zero picks the
-// platform default), at most max mid-run rungs — the effective spacing
-// grows to fit long golden runs — captured under the given warm mode,
-// which must match the warm argument of later fault runs. The capture
-// replay's Result is validated against the golden reference before the
-// ladder is installed, so a ladder can never change campaign results.
+// subsequent fault runs: Instrument with rungs every `every` cycles (zero
+// picks the platform default) and no liveness recording.
 func (w *Workbench) BuildLadder(every uint64, max int, warm bool) error {
 	if every == 0 {
 		every = soc.DefaultCheckpointEvery
 	}
-	// Short golden runs shrink the spacing so the ladder still gets ~16
-	// rungs to fast-forward and early-exit through: the paper-scale
-	// default spacing would otherwise leave a sub-150k-cycle workload with
-	// rung 0 alone. Long runs keep the configured spacing, and the
-	// MaxCheckpoints bound grows it back if the rung count would exceed
-	// the cap.
-	if short := w.Golden.Cycles/16 + 1; every > short {
-		every = short
-	}
-	if max > 0 {
-		if need := w.Golden.Cycles/uint64(max) + 1; need > every {
-			every = need
-		}
-	}
-	var l *soc.Ladder
-	Phased("ladder-capture", func() {
-		l = w.Machine.CaptureLadder(w.Snap, warm, every, max, GoldenBudget)
-	})
-	if !l.Final.CleanExit() {
-		return fmt.Errorf("harness: ladder capture run of %s/%s did not exit cleanly: %v code=%#x",
-			w.Built.Spec.Name, w.Built.Scale, l.Final.Outcome, l.Final.ExitCode)
-	}
-	if !bytes.Equal(l.Final.Output, w.Built.Golden) {
-		return fmt.Errorf("harness: ladder capture output of %s/%s diverges from the native reference",
-			w.Built.Spec.Name, w.Built.Scale)
-	}
-	if !warm && !reflect.DeepEqual(l.Final, w.Golden) {
-		return fmt.Errorf("harness: ladder capture of %s/%s is not bit-identical to the golden run (%+v vs %+v)",
-			w.Built.Spec.Name, w.Built.Scale, l.Final, w.Golden)
-	}
-	w.Ladder = l
-	return nil
+	return w.Instrument(every, max, false, warm)
 }
 
-// BuildLiveness performs the instrumented golden replay that records
-// per-location liveness for the campaign pre-filter, under the given warm
-// mode (which must match later fault runs'). Like BuildLadder, the
-// replay's Result is validated against the golden reference before the
-// log is installed, so a log can never be built from a diverged replay —
-// and since decided pre-filter verdicts are exactly what simulation would
-// conclude, pruning can then never change campaign results either.
+// BuildLiveness records the campaign pre-filter's per-location liveness
+// log alone: Instrument with no ladder.
 func (w *Workbench) BuildLiveness(warm bool) error {
-	var log *soc.LivenessLog
-	Phased("liveness-build", func() {
-		log = w.Machine.ReplayLiveness(w.Snap, warm, GoldenBudget)
-	})
-	if !log.Final.CleanExit() {
-		return fmt.Errorf("harness: liveness replay of %s/%s did not exit cleanly: %v code=%#x",
-			w.Built.Spec.Name, w.Built.Scale, log.Final.Outcome, log.Final.ExitCode)
+	return w.Instrument(0, 0, true, warm)
+}
+
+// Instrument performs one instrumented golden replay under the given warm
+// mode (which must match later fault runs') and installs what it
+// recorded: the checkpoint ladder when every > 0 — rungs every `every`
+// cycles, at most max mid-run rungs, the effective spacing adapted to the
+// golden run's length — and the liveness log the pre-filter, dedup and
+// exhaustive modes classify against when live is set. The replay's Result
+// is validated against the golden reference before anything is installed,
+// so neither product can come from a diverged replay: a ladder can never
+// change campaign results, and since decided pre-filter verdicts are
+// exactly what simulation would conclude, pruning cannot either.
+func (w *Workbench) Instrument(every uint64, max int, live, warm bool) error {
+	if every > 0 {
+		// Short golden runs shrink the spacing so the ladder still gets ~16
+		// rungs to fast-forward and early-exit through: the paper-scale
+		// default spacing would otherwise leave a sub-150k-cycle workload
+		// with rung 0 alone. Long runs keep the configured spacing, and the
+		// MaxCheckpoints bound grows it back if the rung count would exceed
+		// the cap.
+		if short := w.Golden.Cycles/16 + 1; every > short {
+			every = short
+		}
+		if max > 0 {
+			if need := w.Golden.Cycles/uint64(max) + 1; need > every {
+				every = need
+			}
+		}
 	}
-	if !bytes.Equal(log.Final.Output, w.Built.Golden) {
-		return fmt.Errorf("harness: liveness replay output of %s/%s diverges from the native reference",
+	if every == 0 && !live {
+		return nil
+	}
+	var (
+		l   *soc.Ladder
+		log *soc.LivenessLog
+	)
+	Phased("instrumented-replay", func() {
+		l, log = w.Machine.ReplayGolden(w.Snap, warm, every, max, live, GoldenBudget)
+	})
+	var final soc.Result
+	if l != nil {
+		final = l.Final
+	} else {
+		final = log.Final
+	}
+	if !final.CleanExit() {
+		return fmt.Errorf("harness: instrumented replay of %s/%s did not exit cleanly: %v code=%#x",
+			w.Built.Spec.Name, w.Built.Scale, final.Outcome, final.ExitCode)
+	}
+	if !bytes.Equal(final.Output, w.Built.Golden) {
+		return fmt.Errorf("harness: instrumented replay output of %s/%s diverges from the native reference",
 			w.Built.Spec.Name, w.Built.Scale)
 	}
-	if !warm && !reflect.DeepEqual(log.Final, w.Golden) {
-		return fmt.Errorf("harness: liveness replay of %s/%s is not bit-identical to the golden run (%+v vs %+v)",
-			w.Built.Spec.Name, w.Built.Scale, log.Final, w.Golden)
+	if !warm && !reflect.DeepEqual(final, w.Golden) {
+		return fmt.Errorf("harness: instrumented replay of %s/%s is not bit-identical to the golden run (%+v vs %+v)",
+			w.Built.Spec.Name, w.Built.Scale, final, w.Golden)
 	}
-	w.Liveness = log
+	if l != nil {
+		w.Ladder = l
+	}
+	if log != nil {
+		w.Liveness = log
+	}
 	return nil
 }
 

@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 )
@@ -592,30 +593,63 @@ func (c *Cache) TotalTagBits() uint64 {
 }
 
 // CacheState is a deep copy of a cache's content, captured by Machine
-// snapshots (the gem5-checkpoint analogue).
+// snapshots (the gem5-checkpoint analogue) and checkpoint-ladder rungs.
+// It is immutable once saved: RestoreState copies out of it, so a set
+// shared by consecutive rung states is never written through.
 type CacheState struct {
 	lines [][]cacheLine
 	tick  uint64
 	stats CacheStats
+	// owned / shared split the retained line bytes into sets this state
+	// copied and sets it shares with the state it was saved against.
+	owned  int
+	shared int
 }
 
+// lineOverhead is the accounted per-line bookkeeping beyond the data
+// bytes (checkpoint-ladder memory accounting).
+const lineOverhead = 48
+
 // SaveState deep-copies the cache content.
-func (c *Cache) SaveState() *CacheState {
+func (c *Cache) SaveState() *CacheState { return c.SaveStateAgainst(nil) }
+
+// SaveStateAgainst captures the cache content like SaveState, but every
+// set whose ways all equal the same set of prev — valid, dirty, tag, LRU
+// stamp and data bytes — is shared with prev instead of copied:
+// byte-verified interning, as PageImage does for DRAM pages, with no
+// dirty-set tracking in the access path. prev must come from a cache of
+// the same geometry; nil copies every set.
+func (c *Cache) SaveStateAgainst(prev *CacheState) *CacheState {
 	st := &CacheState{tick: c.tick, stats: c.stats}
 	st.lines = make([][]cacheLine, len(c.lines))
 	if len(c.lines) == 0 {
 		return st
 	}
-	// The geometry is uniform, so one backing array serves every set and
-	// one byte buffer every line: three allocations per save instead of
-	// two per set — the checkpoint ladder saves caches thousands of times
-	// per campaign.
 	nways := len(c.lines[0])
 	lineBytes := len(c.lines[0][0].data)
-	ways := make([]cacheLine, len(c.lines)*nways)
-	buf := make([]byte, len(c.lines)*nways*lineBytes)
+	setBytes := nways * (lineBytes + lineOverhead)
+	changed := len(c.lines)
+	if prev != nil {
+		for s := range c.lines {
+			if setsEqual(c.lines[s], prev.lines[s]) {
+				st.lines[s] = prev.lines[s]
+				st.shared += setBytes
+				changed--
+			}
+		}
+	}
+	// The geometry is uniform, so one backing array serves every copied
+	// set and one byte buffer every copied line: three allocations per
+	// save instead of two per set — the checkpoint ladder saves caches
+	// thousands of times per campaign.
+	ways := make([]cacheLine, changed*nways)
+	buf := make([]byte, changed*nways*lineBytes)
 	for s := range c.lines {
-		set := ways[s*nways : (s+1)*nways : (s+1)*nways]
+		if st.lines[s] != nil {
+			continue
+		}
+		set := ways[:nways:nways]
+		ways = ways[nways:]
 		for w := range c.lines[s] {
 			set[w] = c.lines[s][w]
 			data := buf[:lineBytes:lineBytes]
@@ -624,8 +658,26 @@ func (c *Cache) SaveState() *CacheState {
 			set[w].data = data
 		}
 		st.lines[s] = set
+		st.owned += setBytes
 	}
 	return st
+}
+
+// setsEqual reports whether two sets hold identical ways, cheap fields
+// first so a touched set is usually rejected before any data compare.
+func setsEqual(a, b []cacheLine) bool {
+	for w := range a {
+		x, y := &a[w], &b[w]
+		if x.valid != y.valid || x.dirty != y.dirty || x.tag != y.tag || x.lru != y.lru {
+			return false
+		}
+	}
+	for w := range a {
+		if !bytes.Equal(a[w].data, b[w].data) {
+			return false
+		}
+	}
+	return true
 }
 
 // RestoreState restores content captured by SaveState on a cache with the
@@ -646,17 +698,29 @@ func (c *Cache) RestoreState(st *CacheState) {
 	c.syncMirrorAll()
 }
 
-// MemoryBytes estimates the retained size of the saved content
-// (checkpoint-ladder memory accounting).
-func (st *CacheState) MemoryBytes() int {
-	total := 0
+// Equal reports whether two saved states hold identical content: tick,
+// statistics and every way of every set, whether copied or shared.
+func (st *CacheState) Equal(o *CacheState) bool {
+	if st.tick != o.tick || st.stats != o.stats || len(st.lines) != len(o.lines) {
+		return false
+	}
 	for s := range st.lines {
-		for w := range st.lines[s] {
-			total += len(st.lines[s][w].data) + 48
+		if len(st.lines[s]) != len(o.lines[s]) || !setsEqual(st.lines[s], o.lines[s]) {
+			return false
 		}
 	}
-	return total
+	return true
 }
+
+// MemoryBytes estimates the retained size of the saved content
+// (checkpoint-ladder memory accounting). Sets shared with the state this
+// one was saved against are counted by the state that owns them — see
+// SharedBytes.
+func (st *CacheState) MemoryBytes() int { return st.owned }
+
+// SharedBytes returns the line bytes this state shares with the state it
+// was saved against instead of copying.
+func (st *CacheState) SharedBytes() int { return st.shared }
 
 // FlushInto overlays every valid dirty line onto a raw physical-memory
 // image without disturbing cache state. Machine snapshots use it to build a

@@ -1,7 +1,6 @@
 package mem
 
 import (
-	"bytes"
 	"math/rand"
 	"testing"
 )
@@ -38,23 +37,6 @@ func checkMirror(t *testing.T, c *Cache) {
 			}
 		}
 	}
-}
-
-// statesEqual deep-compares two cache states way by way.
-func statesEqual(a, b *CacheState) bool {
-	if a.tick != b.tick || a.stats != b.stats || len(a.lines) != len(b.lines) {
-		return false
-	}
-	for s := range a.lines {
-		for w := range a.lines[s] {
-			x, y := a.lines[s][w], b.lines[s][w]
-			if x.valid != y.valid || x.dirty != y.dirty || x.tag != y.tag || x.lru != y.lru ||
-				!bytes.Equal(x.data, y.data) {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // TestCacheStateRoundTripRandomized drives a cache through random reads,
@@ -98,8 +80,56 @@ func TestCacheStateRoundTripRandomized(t *testing.T) {
 		}
 		c.RestoreState(st)
 		checkMirror(t, c)
-		if again := c.SaveState(); !statesEqual(st, again) {
+		if again := c.SaveState(); !st.Equal(again) {
 			t.Fatalf("round %d: restored cache state differs from snapshot", round)
 		}
+	}
+}
+
+// TestSaveStateAgainstInternsUntouchedSets pins the rung-capture
+// interning: saved against its predecessor, a state shares exactly the
+// sets no access touched in between, copies the rest, accounts both, and
+// restores to the same content as a plain deep copy. Restoring and then
+// mutating the cache must leave both saved states intact.
+func TestSaveStateAgainstInternsUntouchedSets(t *testing.T) {
+	c := NewCache(smallCacheCfg("c"), NewBus(NewDRAM(1<<16)))
+	for a := uint32(0); a < 1<<12; a += 4 {
+		c.Write(a, 4, a*2654435761)
+	}
+	prev := c.SaveState()
+	full := prev.MemoryBytes()
+	if prev.SharedBytes() != 0 || full == 0 {
+		t.Fatalf("plain save: owned %d shared %d", full, prev.SharedBytes())
+	}
+
+	// Touch one set only: its line is already resident, so the write
+	// changes data and LRU of that set alone.
+	touched := uint32(2)
+	c.Write(3<<10|touched<<c.offBits, 4, 0xDEADBEEF)
+	st := c.SaveStateAgainst(prev)
+	setBytes := full / len(c.lines)
+	if st.MemoryBytes() != setBytes || st.SharedBytes() != full-setBytes {
+		t.Fatalf("owned %d shared %d, want %d and %d", st.MemoryBytes(), st.SharedBytes(), setBytes, full-setBytes)
+	}
+	for s := range st.lines {
+		shared := &st.lines[s][0] == &prev.lines[s][0]
+		if shared == (uint32(s) == touched) {
+			t.Fatalf("set %d: shared=%v, touched set is %d", s, shared, touched)
+		}
+	}
+	if !st.Equal(c.SaveState()) {
+		t.Fatal("interned state differs from a plain deep copy")
+	}
+
+	stCopy := c.SaveState()
+	c.RestoreState(prev)
+	prevCopy := c.SaveState()
+	c.RestoreState(st)
+	for a := uint32(0); a < 1<<12; a += 4 {
+		c.Write(a, 4, ^a)
+	}
+	c.FlipTagBit(5)
+	if !prev.Equal(prevCopy) || !st.Equal(stCopy) {
+		t.Fatal("mutating a restored cache wrote through into a saved state")
 	}
 }

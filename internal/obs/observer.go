@@ -267,9 +267,9 @@ func (o *Observer) DedupClasses(workload string, sizes []int) {
 }
 
 // LadderMemory publishes a workload ladder's checkpoint memory: total
-// retained bytes and the bytes shared across rungs by copy-on-write page
-// interning (bytes a delta-per-rung encoding would have duplicated —
-// and, because rung images are immutable, the same figure every
+// retained bytes and the bytes shared across rungs by interning DRAM
+// pages and cache sets (bytes a copy-per-rung encoding would have
+// duplicated — and, because rungs are immutable, the same figure every
 // additional worker avoids re-materialising).
 func (o *Observer) LadderMemory(workload string, total, shared int) {
 	if o == nil {
@@ -278,7 +278,7 @@ func (o *Observer) LadderMemory(workload string, total, shared int) {
 	o.reg.Gauge("armsefi_ladder_memory_bytes",
 		"checkpoint-ladder retained memory by workload", "workload", workload).Set(float64(total))
 	o.reg.Gauge("armsefi_ladder_shared_bytes",
-		"checkpoint-ladder bytes shared through copy-on-write page interning, by workload",
+		"checkpoint-ladder bytes shared across rungs through page and cache-set interning, by workload",
 		"workload", workload).Set(float64(shared))
 	o.ladderMu.Lock()
 	if o.ladderTotal == nil {

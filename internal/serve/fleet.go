@@ -29,7 +29,7 @@ type NodeStatus struct {
 	LeasesHeld int `json:"leases_held"`
 	// LadderBytes / LadderSharedBytes are the node's self-reported
 	// checkpoint-ladder memory: total retained bytes, and the bytes shared
-	// through copy-on-write page interning rather than copied per rung.
+	// across rungs through page and cache-set interning rather than copied.
 	LadderBytes       int64 `json:"ladder_bytes,omitempty"`
 	LadderSharedBytes int64 `json:"ladder_shared_bytes,omitempty"`
 	// Stalled marks a node quiet for longer than the stalled threshold.

@@ -67,7 +67,7 @@ type TelemetryBatch struct {
 	Convergence []ConvUpdate `json:"convergence,omitempty"`
 	// LadderBytes / LadderSharedBytes snapshot the node's checkpoint-ladder
 	// memory across its cached workbenches: total retained bytes, and the
-	// bytes shared through copy-on-write page interning instead of copied.
+	// bytes shared across rungs through page and cache-set interning.
 	LadderBytes       int64 `json:"ladder_bytes,omitempty"`
 	LadderSharedBytes int64 `json:"ladder_shared_bytes,omitempty"`
 }

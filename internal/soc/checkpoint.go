@@ -126,15 +126,13 @@ func (l *Ladder) Rungs() int { return len(l.rungs) }
 func (l *Ladder) EffectiveEvery() uint64 { return l.every }
 
 // MemoryBytes estimates the ladder's retained memory: owned DRAM page
-// payloads, cache and TLB copies, UART backlogs, and fixed per-rung
-// bookkeeping. Page payloads interned from an earlier rung are counted
-// once, by the owning rung — see SharedBytes for the saving.
+// payloads, owned cache sets, TLB copies, UART backlogs, and fixed
+// per-rung bookkeeping. Page payloads and cache sets interned from an
+// earlier rung are counted once, by the owning rung — see SharedBytes for
+// the saving.
 func (l *Ladder) MemoryBytes() int {
 	total := 0
-	for _, c := range append(append([]*Checkpoint(nil), l.rungs...), l.end) {
-		if c == nil {
-			continue
-		}
+	for _, c := range l.checkpoints() {
 		total += c.img.Bytes() + len(c.uart) + 1024
 		for _, cs := range []*mem.CacheState{c.l1i, c.l1d, c.l2} {
 			total += cs.MemoryBytes()
@@ -146,20 +144,27 @@ func (l *Ladder) MemoryBytes() int {
 	return total
 }
 
-// SharedBytes reports the DRAM payload bytes the ladder's rungs share
-// with earlier rungs through copy-on-write interning instead of copying —
-// memory a delta-per-rung encoding would have duplicated. Additionally,
-// because every rung image is immutable, all workers of a pool restore
-// from the same ladder with no per-worker rung copies at all; the
+// SharedBytes reports the DRAM payload and cache-set bytes the ladder's
+// rungs share with earlier rungs through interning instead of copying —
+// memory a copy-per-rung encoding would have duplicated. Additionally,
+// because every rung is immutable, all workers of a pool restore from the
+// same ladder with no per-worker rung copies at all; the
 // armsefi_ladder_shared_bytes metric surfaces this figure.
 func (l *Ladder) SharedBytes() int {
 	total := 0
-	for _, c := range append(append([]*Checkpoint(nil), l.rungs...), l.end) {
-		if c != nil {
-			total += c.img.SharedBytes()
+	for _, c := range l.checkpoints() {
+		total += c.img.SharedBytes()
+		for _, cs := range []*mem.CacheState{c.l1i, c.l1d, c.l2} {
+			total += cs.SharedBytes()
 		}
 	}
 	return total
+}
+
+// checkpoints returns every captured checkpoint: the rungs, then the end
+// state.
+func (l *Ladder) checkpoints() []*Checkpoint {
+	return append(l.rungs[:len(l.rungs):len(l.rungs)], l.end)
 }
 
 // RungCycleFor returns the cycle of the highest rung at or below cycle —
@@ -237,11 +242,12 @@ func (m *Machine) microFPSum() uint64 {
 // rung's own page fingerprints are diffed against it to precompute the
 // exact differs-from-base page bitmap the early-exit check consumes.
 // prev is the previously captured rung (nil for rung 0): page payloads
-// unchanged since it are interned — byte-verified — instead of copied.
+// and cache sets unchanged since it are interned — byte-verified —
+// instead of copied.
 func (m *Machine) captureCheckpoint(base *Snapshot, basePF []uint64, lastBeatAbs uint64, prev *Checkpoint) *Checkpoint {
 	// One hasher pass yields both stages: microFP is the running sum
 	// before the DRAM page fingerprints are folded in, Fingerprint after.
-	// With dirty-page tracking active (CaptureLadder arms it), only pages
+	// With dirty-page tracking active (ReplayGolden arms it), only pages
 	// the replay has written are re-hashed and re-diffed; unmarked pages
 	// are byte-identical to the base image, exactly.
 	h := mem.NewHasher()
@@ -256,8 +262,9 @@ func (m *Machine) captureCheckpoint(base *Snapshot, basePF []uint64, lastBeatAbs
 	foldPageFP(h, pageFP)
 	diffPages := mem.DiffPageBitmap(basePF, pageFP)
 	var prevImg *mem.PageImage
+	var prevL1I, prevL1D, prevL2 *mem.CacheState
 	if prev != nil {
-		prevImg = prev.img
+		prevImg, prevL1I, prevL1D, prevL2 = prev.img, prev.l1i, prev.l1d, prev.l2
 	}
 	return &Checkpoint{
 		Cycle:       m.core.Cycles(),
@@ -268,9 +275,9 @@ func (m *Machine) captureCheckpoint(base *Snapshot, basePF []uint64, lastBeatAbs
 		diffPages:   diffPages,
 		img:         m.DRAM.BuildPageImage(base.dram, pageFP, diffPages, prevImg),
 		micro:       m.core.SaveMicro(),
-		l1i:         m.Mem.L1I.SaveState(),
-		l1d:         m.Mem.L1D.SaveState(),
-		l2:          m.Mem.L2.SaveState(),
+		l1i:         m.Mem.L1I.SaveStateAgainst(prevL1I),
+		l1d:         m.Mem.L1D.SaveStateAgainst(prevL1D),
+		l2:          m.Mem.L2.SaveStateAgainst(prevL2),
 		itlb:        m.Mem.ITLB.SaveState(),
 		dtlb:        m.Mem.DTLB.SaveState(),
 		timer:       m.Timer.save(),
@@ -295,34 +302,47 @@ func (m *Machine) RestoreCheckpoint(l *Ladder, c *Checkpoint) {
 	m.UART.Restore(c.uart)
 }
 
-// CaptureLadder performs the instrumented golden replay: restore the
+// ReplayGolden performs the instrumented golden replay: restore the
 // post-boot snapshot (warm or cold exactly as injection runs will), run
-// fault-free to completion, and capture a rung at cycle zero, at every
-// rung boundary reached, and at the end. max bounds the number of
-// mid-run rungs (rung 0 and the end state are always kept). The capture
-// loop mirrors RunWithInjection cycle-for-cycle, so Final is the same
-// Result a plain golden run produces.
-func (m *Machine) CaptureLadder(base *Snapshot, warm bool, every uint64, max int, budget uint64) *Ladder {
-	if every == 0 {
-		every = DefaultCheckpointEvery
-	}
-	l := &Ladder{base: base, warm: warm, every: every}
-	basePF := mem.HashPages(base.dram, nil)
+// fault-free to completion, and record what the campaign engines ask for
+// in one pass. every > 0 captures the checkpoint ladder — a rung at cycle
+// zero, at every rung boundary reached (at most max mid-run rungs; rung 0
+// and the end state are always kept) and at the end; every == 0 captures
+// none. live attaches liveness recorders to every cache and TLB. Capture
+// only reads machine state and emits no recorder events, so one replay
+// yields exactly what two separate ones would. The loop mirrors
+// RunWithInjection cycle-for-cycle, so Final (the same Result in both
+// products) is what a plain golden run produces. The machine is left at
+// the end state of the run.
+func (m *Machine) ReplayGolden(base *Snapshot, warm bool, every uint64, max int, live bool, budget uint64) (*Ladder, *LivenessLog) {
 	m.RestoreSnapshot(base, warm)
-	// Arm dirty-page tracking for the replay: captures then hash and diff
-	// only the pages the run has written (an exact, byte-level invariant —
-	// unmarked pages equal the base image RestoreSnapshot just loaded).
-	// RestoreDelta with an empty delta is the canonical way to (re)base
-	// the tracker; injection runs keep it armed via RestoreCheckpoint.
-	m.DRAM.RestoreDelta(base.dram, &mem.Delta{})
+	var (
+		l      *Ladder
+		basePF []uint64
+		log    *LivenessLog
+	)
+	if every > 0 {
+		l = &Ladder{base: base, warm: warm, every: every}
+		basePF = mem.HashPages(base.dram, nil)
+		// Arm dirty-page tracking for the replay: captures then hash and
+		// diff only the pages the run has written (an exact, byte-level
+		// invariant — unmarked pages equal the base image RestoreSnapshot
+		// just loaded). RestoreDelta with an empty delta is the canonical
+		// way to (re)base the tracker; injection runs keep it armed via
+		// RestoreCheckpoint.
+		m.DRAM.RestoreDelta(base.dram, &mem.Delta{})
+		l.rungs = append(l.rungs, m.captureCheckpoint(base, basePF, 0, nil))
+	}
+	if live {
+		log = m.attachLiveness(warm)
+		defer m.detachLiveness()
+	}
 
 	uartBase := len(base.uart)
 	beatsBase := base.sysctl.s.beats
 	aliveBase := base.sysctl.s.appAlive
 	lastBeats := m.SysCtl.Beats()
 	lastBeatAbs := uint64(0)
-
-	l.rungs = append(l.rungs, m.captureCheckpoint(base, basePF, lastBeatAbs, nil))
 	nextRung := every
 
 	res := Result{}
@@ -341,7 +361,7 @@ func (m *Machine) CaptureLadder(base *Snapshot, warm bool, every uint64, max int
 			res.Outcome = OutcomeTimeout
 			break
 		}
-		if abs >= nextRung && (max <= 0 || len(l.rungs) <= max) {
+		if l != nil && abs >= nextRung && (max <= 0 || len(l.rungs) <= max) {
 			// The atomic model can step several cycles at once and skip a
 			// boundary; the rung lands on the first boundary actually
 			// reached, and faulty runs compare only on exact hits.
@@ -349,6 +369,11 @@ func (m *Machine) CaptureLadder(base *Snapshot, warm bool, every uint64, max int
 			for nextRung <= abs {
 				nextRung += every
 			}
+		}
+		if log != nil {
+			// Everything the coming step does is stamped with the cycle at
+			// which an injection targeting it would have fired.
+			log.now = abs
 		}
 		d := m.core.StepCycle()
 		m.Timer.Tick(d)
@@ -363,9 +388,14 @@ func (m *Machine) CaptureLadder(base *Snapshot, warm bool, every uint64, max int
 	res.Beats = m.SysCtl.Beats() - beatsBase
 	res.AppAlive = m.SysCtl.AppAlive() - aliveBase
 	res.LastBeatCycle = lastBeatAbs
-	l.Final = res
-	l.end = m.captureCheckpoint(base, basePF, lastBeatAbs, l.rungs[len(l.rungs)-1])
-	return l
+	if l != nil {
+		l.Final = res
+		l.end = m.captureCheckpoint(base, basePF, lastBeatAbs, l.rungs[len(l.rungs)-1])
+	}
+	if log != nil {
+		log.Final = res
+	}
+	return l, log
 }
 
 // dramConverged reports whether the machine's DRAM matches rung r of l.

@@ -23,7 +23,7 @@ func benchLadderMachine(b *testing.B) (*Machine, *Ladder) {
 		b.Fatal(err)
 	}
 	snap := m.SaveSnapshot()
-	l := m.CaptureLadder(snap, false, 2_000, 0, ladderBudget)
+	l, _ := m.ReplayGolden(snap, false, 2_000, 0, false, ladderBudget)
 	if !l.Final.CleanExit() {
 		b.Fatalf("capture run not clean: %v", l.Final.Outcome)
 	}

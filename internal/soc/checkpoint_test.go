@@ -47,7 +47,7 @@ func captureLadder(t *testing.T, model ModelKind, warm bool, every uint64) (*Mac
 	t.Helper()
 	m := bootMachine(t, model, ladderAppSource)
 	snap := m.SaveSnapshot()
-	l := m.CaptureLadder(snap, warm, every, 0, ladderBudget)
+	l, _ := m.ReplayGolden(snap, warm, every, 0, false, ladderBudget)
 	if !l.Final.CleanExit() {
 		t.Fatalf("%v warm=%v: capture run not clean: %v code=%#x",
 			model, warm, l.Final.Outcome, l.Final.ExitCode)
@@ -194,12 +194,50 @@ func TestFastForwardGolden(t *testing.T) {
 func TestCaptureLadderMaxCheckpoints(t *testing.T) {
 	m := bootMachine(t, ModelAtomic, ladderAppSource)
 	snap := m.SaveSnapshot()
-	l := m.CaptureLadder(snap, false, 1_000, 4, ladderBudget)
+	l, _ := m.ReplayGolden(snap, false, 1_000, 4, false, ladderBudget)
 	if l.Rungs() > 5 { // rung 0 plus at most max mid-run rungs
 		t.Errorf("ladder holds %d rungs, max 4 requested", l.Rungs())
 	}
 	if l.MemoryBytes() <= 0 {
 		t.Error("MemoryBytes reported nothing retained")
+	}
+}
+
+// TestLadderInternsUntouchedCacheSets pins rung cache-set interning and
+// its accounting: when no access touches the L2 between two rungs, the
+// later rung shares every L2 set with the earlier one and owns none, the
+// ladder reports those bytes as shared, and MemoryBytes no longer counts
+// a full L2 copy per rung.
+func TestLadderInternsUntouchedCacheSets(t *testing.T) {
+	for _, model := range []ModelKind{ModelAtomic, ModelDetailed} {
+		_, _, l := captureLadder(t, model, false, 2_000)
+		full := l.rungs[0].l2.MemoryBytes()
+		if full == 0 || l.rungs[0].l2.SharedBytes() != 0 {
+			t.Fatalf("%v: rung 0 must own its whole L2 (owned %d, shared %d)",
+				model, full, l.rungs[0].l2.SharedBytes())
+		}
+		untouched := 0
+		for i := 1; i < len(l.rungs); i++ {
+			prev, c := l.rungs[i-1].l2, l.rungs[i].l2
+			if !c.Equal(prev) {
+				continue
+			}
+			untouched++
+			if c.MemoryBytes() != 0 || c.SharedBytes() != full {
+				t.Errorf("%v rung %d: untouched L2 owns %d and shares %d bytes, want 0 and %d",
+					model, i, c.MemoryBytes(), c.SharedBytes(), full)
+			}
+		}
+		if untouched == 0 {
+			t.Fatalf("%v: no rung pair with an untouched L2 in %d rungs", model, len(l.rungs))
+		}
+		if l.SharedBytes() < untouched*full {
+			t.Errorf("%v: ladder shares %d bytes, want at least %d", model, l.SharedBytes(), untouched*full)
+		}
+		if l.MemoryBytes() >= len(l.rungs)*full {
+			t.Errorf("%v: MemoryBytes %d still counts an L2 copy per rung (%d rungs x %d)",
+				model, l.MemoryBytes(), len(l.rungs), full)
+		}
 	}
 }
 

@@ -1,7 +1,8 @@
-// Instrumented golden replay for the campaign pre-filter: one fault-free
-// run with liveness recorders attached to every cache and TLB, producing
-// the immutable LivenessLog the ACE-style analysis queries to classify
-// planned injections without simulating them.
+// Liveness recording for the campaign pre-filter: during the
+// instrumented golden replay (ReplayGolden, checkpoint.go) recorders
+// attached to every cache and TLB produce the immutable LivenessLog the
+// ACE-style analysis queries to classify planned injections without
+// simulating them.
 //
 // The replay loop mirrors RunWithInjection cycle-for-cycle and stamps
 // every recorded event with the top-of-loop cycle value — the exact
@@ -32,64 +33,23 @@ type LivenessLog struct {
 	now uint64
 }
 
-// ReplayLiveness performs the instrumented golden replay: restore the
-// post-boot snapshot (warm or cold exactly as injection runs will), run
-// fault-free to completion with liveness recording attached, and return
-// the log. The machine is left at the end state of the run.
-func (m *Machine) ReplayLiveness(base *Snapshot, warm bool, budget uint64) *LivenessLog {
-	m.RestoreSnapshot(base, warm)
+// attachLiveness starts liveness recording on every cache and TLB,
+// stamped by the returned log's clock; the replay loop advances the clock
+// and detachLiveness stops recording.
+func (m *Machine) attachLiveness(warm bool) *LivenessLog {
 	log := &LivenessLog{Warm: warm}
 	log.L1I = m.Mem.L1I.AttachLiveness(&log.now)
 	log.L1D = m.Mem.L1D.AttachLiveness(&log.now)
 	log.L2 = m.Mem.L2.AttachLiveness(&log.now)
 	log.ITLB = m.Mem.ITLB.AttachLiveness(&log.now)
 	log.DTLB = m.Mem.DTLB.AttachLiveness(&log.now)
-	defer func() {
-		m.Mem.L1I.DetachLiveness()
-		m.Mem.L1D.DetachLiveness()
-		m.Mem.L2.DetachLiveness()
-		m.Mem.ITLB.DetachLiveness()
-		m.Mem.DTLB.DetachLiveness()
-	}()
-
-	uartBase := len(base.uart)
-	beatsBase := base.sysctl.s.beats
-	aliveBase := base.sysctl.s.appAlive
-	lastBeats := m.SysCtl.Beats()
-	lastBeatAbs := uint64(0)
-
-	res := Result{}
-	for {
-		if m.SysCtl.Halted() {
-			res.Outcome = OutcomePowerOff
-			res.ExitCode = m.SysCtl.ExitCode()
-			break
-		}
-		if m.core.Fatal() {
-			res.Outcome = OutcomeFatal
-			break
-		}
-		abs := m.core.Cycles()
-		if abs >= budget {
-			res.Outcome = OutcomeTimeout
-			break
-		}
-		// Everything the coming step does is stamped with the cycle at
-		// which an injection targeting it would have fired.
-		log.now = abs
-		d := m.core.StepCycle()
-		m.Timer.Tick(d)
-		if b := m.SysCtl.Beats(); b != lastBeats {
-			lastBeats = b
-			lastBeatAbs = m.core.Cycles()
-		}
-	}
-	res.Cycles = m.core.Cycles()
-	res.Instructions = m.core.Instructions()
-	res.Output = m.UART.Tail(uartBase)
-	res.Beats = m.SysCtl.Beats() - beatsBase
-	res.AppAlive = m.SysCtl.AppAlive() - aliveBase
-	res.LastBeatCycle = lastBeatAbs
-	log.Final = res
 	return log
+}
+
+func (m *Machine) detachLiveness() {
+	m.Mem.L1I.DetachLiveness()
+	m.Mem.L1D.DetachLiveness()
+	m.Mem.L2.DetachLiveness()
+	m.Mem.ITLB.DetachLiveness()
+	m.Mem.DTLB.DetachLiveness()
 }
