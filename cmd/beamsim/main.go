@@ -7,7 +7,7 @@
 //	beamsim [-workloads crc32,qsort] [-hours 4] [-scale tiny] [-seed 1] [-workers N]
 //	        [-trace trace.jsonl] [-prov] [-metrics-addr 127.0.0.1:9100]
 //	        [-checkpoint-every 150000] [-max-checkpoints 64]
-//	        [-cpuprofile cpu.prof] [-memprofile mem.prof] [-ladder-debug]
+//	        [-cpuprofile cpu.prof] [-memprofile mem.prof]
 //	        [-remote http://host:8440]
 //	        [-target-margin 0.04] [-confidence 0.99] [-verify]
 //	beamsim -fitraw [-hours 20]
@@ -108,18 +108,16 @@ func run() error {
 			"golden-run checkpoint-ladder rung spacing in cycles; the ladder fast-forwards steady-state and reboot runs; 0 disables it (results are bit-identical either way)")
 		ckMax = flag.Int("max-checkpoints", soc.DefaultMaxCheckpoints,
 			"cap on checkpoint-ladder rungs per workload (spacing grows to fit)")
-		cpuProf     = flag.String("cpuprofile", "", "write a CPU profile of the campaign to this file")
-		memProf     = flag.String("memprofile", "", "write a heap profile at campaign end to this file")
-		ladderDebug = flag.Bool("ladder-debug", false,
-			"cross-check every incremental dirty-page convergence check against the exact full-image comparison (slow; panics on disagreement)")
-		remote = flag.String("remote", "",
+		cpuProf = flag.String("cpuprofile", "", "write a CPU profile of the campaign to this file")
+		memProf = flag.String("memprofile", "", "write a heap profile at campaign end to this file")
+		remote  = flag.String("remote", "",
 			"submit the campaign to a campaignd coordinator at this URL instead of running locally, wait for completion, and report its results")
 		targetMargin = flag.Float64("target-margin", 0,
 			"sequential early stopping: cut each component's strike chain at the first check boundary where every class estimate reaches this confidence-interval half-width (0 disables; surviving strikes are re-weighted so FIT rates stay unbiased)")
 		confidence = flag.Float64("confidence", 0,
 			"confidence level for -target-margin and reported margins (0 = 0.99, the paper's level)")
 		verify = flag.Bool("verify", false,
-			"execute every strike while computing the same -target-margin cuts and emitting the truncated re-weighted result (tests cross-check it byte-for-byte against a genuinely stopped run)")
+			"execute every strike while computing the same -target-margin cuts and emitting the truncated re-weighted result (tests cross-check it byte-for-byte against a genuinely stopped run), and cross-check every incremental ladder convergence verdict against the exact full-image comparison")
 	)
 	flag.Parse()
 
@@ -145,8 +143,7 @@ func run() error {
 	cfg := beam.Config{
 		Scale: scale, Seed: *seed, BeamHours: *hours, Workers: *workers,
 		CheckpointEvery: *ckEvery, MaxCheckpoints: *ckMax,
-		LadderDebug: *ladderDebug, Obs: ocli.Obs,
-		Provenance:   *prov,
+		Obs: ocli.Obs, Provenance: *prov,
 		TargetMargin: *targetMargin, Confidence: *confidence, Verify: *verify,
 	}
 	var progress beam.Progress

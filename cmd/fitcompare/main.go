@@ -68,7 +68,7 @@ func run() error {
 		dedup = flag.Bool("dedup", false,
 			"collapse the injection campaign's plan into equivalence classes and simulate one representative per class (results are byte-identical either way; beam strikes always execute)")
 		verify = flag.Bool("verify", false,
-			"cross-validate the injection campaign's shortcuts: simulate every injection and check each -prune prediction and -dedup materialization against it, failing on any disagreement (turns on neither)")
+			"cross-validate the injection campaign's shortcuts: simulate every injection and check each -prune prediction and -dedup materialization against it, failing on any disagreement, and cross-check every incremental ladder convergence verdict against the exact full-image comparison (turns on neither)")
 	)
 	flag.Parse()
 

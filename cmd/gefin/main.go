@@ -10,7 +10,7 @@
 //	      [-components l1d,dtlb] [-trace trace.jsonl] [-prov]
 //	      [-metrics-addr 127.0.0.1:9100]
 //	      [-checkpoint-every 150000] [-max-checkpoints 64]
-//	      [-cpuprofile cpu.prof] [-memprofile mem.prof] [-ladder-debug]
+//	      [-cpuprofile cpu.prof] [-memprofile mem.prof]
 //	      [-prune] [-dedup] [-exhaustive] [-verify]
 //	      [-remote http://host:8440]
 //	      [-target-margin 0.04] [-confidence 0.99]
@@ -146,11 +146,9 @@ func run() error {
 			"golden-run checkpoint-ladder rung spacing in cycles; 0 disables the ladder (results are bit-identical either way)")
 		ckMax = flag.Int("max-checkpoints", soc.DefaultMaxCheckpoints,
 			"cap on checkpoint-ladder rungs per workload (spacing grows to fit)")
-		cpuProf     = flag.String("cpuprofile", "", "write a CPU profile of the campaign to this file")
-		memProf     = flag.String("memprofile", "", "write a heap profile at campaign end to this file")
-		ladderDebug = flag.Bool("ladder-debug", false,
-			"cross-check every incremental dirty-page convergence check against the exact full-image comparison (slow; panics on disagreement)")
-		prune = flag.Bool("prune", false,
+		cpuProf = flag.String("cpuprofile", "", "write a CPU profile of the campaign to this file")
+		memProf = flag.String("memprofile", "", "write a heap profile at campaign end to this file")
+		prune   = flag.Bool("prune", false,
 			"pre-filter the fault plan against a liveness replay and skip provably-masked injections (results are byte-identical either way)")
 		dedup = flag.Bool("dedup", false,
 			"collapse planned injections into equivalence classes (same fault site, same quiescent window) and simulate one representative per class (results are byte-identical either way)")
@@ -165,7 +163,7 @@ func run() error {
 		confidence = flag.Float64("confidence", 0,
 			"confidence level for -target-margin and reported margins (0 = 0.99, the paper's level)")
 		verify = flag.Bool("verify", false,
-			"cross-validate the shortcuts: simulate every injection with the provenance probe, check each -prune prediction and -dedup materialization against it (failing the campaign on any disagreement), and compute -target-margin cuts without applying them (no speedup; turns on neither -prune nor -dedup)")
+			"cross-validate the shortcuts: simulate every injection with the provenance probe, check each -prune prediction and -dedup materialization against it (failing the campaign on any disagreement), compute -target-margin cuts without applying them, and cross-check every incremental ladder convergence verdict against the exact full-image comparison (no speedup; turns on neither -prune nor -dedup)")
 	)
 	flag.Parse()
 
@@ -217,7 +215,6 @@ func run() error {
 		TLBFullEntry:       *tlbFull,
 		CheckpointEvery:    *ckEvery,
 		MaxCheckpoints:     *ckMax,
-		LadderDebug:        *ladderDebug,
 		Obs:                ocli.Obs,
 		Provenance:         *prov,
 		Prune:              *prune,

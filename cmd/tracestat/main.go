@@ -48,27 +48,31 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "tracestat:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+// run executes one tracestat invocation; a nil return is exit status 0.
+func run(args []string) error {
+	fs := flag.NewFlagSet("tracestat", flag.ExitOnError)
 	var (
-		against     = flag.String("against", "", "verify the trace against a gefin campaign Result JSON")
-		againstBeam = flag.String("against-beam", "", "verify the trace against a beam campaign Result JSON")
-		remote      = flag.String("remote", "", "coordinator URL: fetch the campaign's merged fleet trace and Result")
-		campaignID  = flag.String("campaign", "", "campaign id on the remote coordinator")
-		requireProv = flag.Bool("require-prov", false,
+		against     = fs.String("against", "", "verify the trace against a gefin campaign Result JSON")
+		againstBeam = fs.String("against-beam", "", "verify the trace against a beam campaign Result JSON")
+		remote      = fs.String("remote", "", "coordinator URL: fetch the campaign's merged fleet trace and Result")
+		campaignID  = fs.String("campaign", "", "campaign id on the remote coordinator")
+		requireProv = fs.Bool("require-prov", false,
 			"fail unless every record carries a provenance mechanism verdict")
-		quiet = flag.Bool("quiet", false, "suppress the summary tables; print verification results only")
+		quiet = fs.Bool("quiet", false, "suppress the summary tables; print verification results only")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 	if (*remote == "") != (*campaignID == "") {
 		return fmt.Errorf("-remote and -campaign go together")
 	}
-	if flag.NArg() == 0 && *remote == "" {
+	if fs.NArg() == 0 && *remote == "" {
 		return fmt.Errorf("usage: tracestat [-against result.json | -against-beam result.json] trace.jsonl...\n" +
 			"       tracestat -remote http://host:8440 -campaign ID")
 	}
@@ -80,7 +84,7 @@ func run() error {
 			c.Close()
 		}
 	}()
-	for _, path := range flag.Args() {
+	for _, path := range fs.Args() {
 		if path == "-" {
 			readers = append(readers, os.Stdin)
 			continue

@@ -3,7 +3,8 @@
 // between probabilistic models and statistical fault injection (Mukherjee
 // et al. [12]; accuracy examined against injection by Wang et al. [28]).
 //
-// One instrumented golden run measures, for every cache line and TLB
+// One instrumented golden run — the liveness replay whose event streams
+// the campaign pre-filter reads — measures, for every cache line and TLB
 // entry, how long each value remained architecturally correct-execution
 // relevant (from fill/write to last consuming read, or to writeback). The
 // per-structure AVF estimate is ACE-cycles / (capacity x time). Because
@@ -14,13 +15,11 @@ package ace
 
 import (
 	"fmt"
-
 	"time"
 
 	"armsefi/internal/bench"
 	"armsefi/internal/core/fault"
 	"armsefi/internal/core/harness"
-	"armsefi/internal/mem"
 	"armsefi/internal/obs"
 	"armsefi/internal/soc"
 )
@@ -81,58 +80,41 @@ func (r *Result) Component(c fault.Component) (ComponentEstimate, bool) {
 // Run performs the instrumented golden run for one workload. It needs a
 // single simulation — the methodology's selling point — and returns AVF
 // estimates for the five memory structures (the register file is outside
-// ACE's residency model).
+// ACE's residency model). The run is the cold liveness replay the
+// campaign pre-filter records: its recorders keep each slot's value
+// lifetimes alongside the event stream, so the estimates come from the
+// same hooks.
 func Run(cfg Config, spec bench.Spec) (*Result, error) {
 	cfg = cfg.withDefaults()
-	built, err := spec.Build(soc.UserAsmConfig(), cfg.Scale)
+	wb, err := harness.Build(cfg.Preset, cfg.Model, spec, cfg.Scale)
 	if err != nil {
 		return nil, fmt.Errorf("ace: %w", err)
 	}
-	wb, err := harness.New(cfg.Preset, cfg.Model, built)
-	if err != nil {
-		return nil, fmt.Errorf("ace: %w", err)
-	}
-	m := wb.Machine
-	m.RestoreSnapshot(wb.Snap, false)
-
-	clock := func() uint64 { return m.Core().Cycles() }
-	trackers := []struct {
-		comp fault.Component
-		life *mem.LifetimeTracker
-	}{
-		{fault.CompL1I, m.Mem.L1I.AttachLifetimeTracker(clock)},
-		{fault.CompL1D, m.Mem.L1D.AttachLifetimeTracker(clock)},
-		{fault.CompL2, m.Mem.L2.AttachLifetimeTracker(clock)},
-		{fault.CompITLB, m.Mem.ITLB.AttachLifetimeTracker(clock)},
-		{fault.CompDTLB, m.Mem.DTLB.AttachLifetimeTracker(clock)},
-	}
-	defer func() {
-		m.Mem.L1I.DetachLifetimeTracker()
-		m.Mem.L1D.DetachLifetimeTracker()
-		m.Mem.L2.DetachLifetimeTracker()
-		m.Mem.ITLB.DetachLifetimeTracker()
-		m.Mem.DTLB.DetachLifetimeTracker()
-	}()
-
 	start := time.Now()
-	res := m.Run(wb.Watchdog)
-	wall := time.Since(start)
-	if !res.CleanExit() {
-		return nil, fmt.Errorf("ace: instrumented run of %s failed: %v", spec.Name, res.Outcome)
+	if err := wb.BuildLiveness(false); err != nil {
+		return nil, fmt.Errorf("ace: %w", err)
 	}
+	wall := time.Since(start)
+	log := wb.Liveness
 	out := &Result{
 		Workload:     spec.Name,
 		Scale:        cfg.Scale,
-		GoldenCycles: res.Cycles,
+		GoldenCycles: log.Final.Cycles,
 	}
-	for _, tr := range trackers {
-		total, read := tr.life.Values()
-		est := ComponentEstimate{
-			Comp:        tr.comp,
-			AVF:         tr.life.Finalize(),
-			ValuesTotal: total,
-			ValuesRead:  read,
+	for _, s := range []struct {
+		comp fault.Component
+		rec  interface {
+			ACE(cycles uint64) (avf float64, total, read uint64)
 		}
+	}{
+		{fault.CompL1I, log.L1I},
+		{fault.CompL1D, log.L1D},
+		{fault.CompL2, log.L2},
+		{fault.CompITLB, log.ITLB},
+		{fault.CompDTLB, log.DTLB},
+	} {
+		est := ComponentEstimate{Comp: s.comp}
+		est.AVF, est.ValuesTotal, est.ValuesRead = s.rec.ACE(log.Final.Cycles)
 		out.Components = append(out.Components, est)
 		cfg.Obs.AceRun(spec.Name, est.Comp, est.AVF, wall)
 	}

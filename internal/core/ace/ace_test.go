@@ -14,12 +14,11 @@ import (
 )
 
 func TestCacheLifetimeIntegration(t *testing.T) {
-	now := uint64(0)
-	clock := func() uint64 { return now }
+	var now uint64
 	dram := mem.NewDRAM(1 << 16)
 	bus := mem.NewBus(dram)
 	c := mem.NewCache(mem.CacheConfig{Name: "c", SizeBytes: 1 << 10, LineBytes: 32, Ways: 2, HitCycles: 1}, bus)
-	tr := c.AttachLifetimeTracker(clock)
+	rec := c.AttachLiveness(&now)
 
 	now = 100
 	c.Read(0, 4) // fill at 100, read counts on the fill access
@@ -27,35 +26,37 @@ func TestCacheLifetimeIntegration(t *testing.T) {
 	c.Read(0, 4) // last read at 200
 	now = 1000
 	c.InvalidateAll() // clean eviction: ACE = 200-100
-	now = 1100
-	avf := tr.Finalize()
+	avf, total, read := rec.ACE(1100)
 	// 100 ACE cycles / (32 lines x 1100 cycles).
-	want := 100.0 / (32 * 1100)
-	if avf < want*0.9 || avf > want*1.1 {
-		t.Fatalf("AVF = %g, want ~%g", avf, want)
+	if want := 100.0 / (32 * 1100); avf != want || total != 1 || read != 1 {
+		t.Fatalf("AVF = %g values %d/%d, want %g 1/1", avf, total, read, want)
 	}
 }
 
 func TestDirtyDataIsACEUntilDeparture(t *testing.T) {
-	now := uint64(0)
-	clock := func() uint64 { return now }
+	var now uint64
 	dram := mem.NewDRAM(1 << 16)
 	bus := mem.NewBus(dram)
 	c := mem.NewCache(mem.CacheConfig{Name: "c", SizeBytes: 1 << 10, LineBytes: 32, Ways: 2, HitCycles: 1}, bus)
-	tr := c.AttachLifetimeTracker(clock)
+	rec := c.AttachLiveness(&now)
 	now = 10
-	c.Write(0, 4, 42) // fill (clean value closes instantly) + dirty value opens
+	c.Write(0, 4, 42) // fill (the clean value closes unread) + dirty value opens
+	now = 20
+	c.Write(32, 4, 7) // a second line, still dirty when the run ends
 	now = 500
-	c.FlushAll() // the write-back carries the data: ACE to 500... flush is
-	// outside the tracked path (FlushAll bypasses fill), so finalize with
-	// the line still live instead:
-	now = 600
-	avf := tr.Finalize()
-	// The dirty value is ACE from 10 to 600 (futures writeback): 590
-	// entry-cycles over 32x600.
-	want := 590.0 / (32 * 600)
-	if avf < want*0.9 || avf > want*1.1 {
-		t.Fatalf("AVF = %g, want ~%g", avf, want)
+	c.FlushAll() // both write back: ACE to departure, 490 + 480
+	avf, total, read := rec.ACE(600)
+	if want := 970.0 / (32 * 600); avf != want || total != 4 || read != 0 {
+		t.Fatalf("flushed: AVF = %g values %d/%d, want %g 4/0", avf, total, read, want)
+	}
+
+	// A dirty value still live at the end counts as ACE through the run's
+	// last cycle: it would be written back.
+	now = 550
+	c.Write(64, 4, 1)
+	avf, _, _ = rec.ACE(600)
+	if want := (970.0 + 599 - 550) / (32 * 600); avf != want {
+		t.Fatalf("live dirty: AVF = %g, want %g", avf, want)
 	}
 }
 

@@ -105,12 +105,6 @@ type Config struct {
 	// MaxCheckpoints caps the rungs a ladder may hold; zero picks
 	// soc.DefaultMaxCheckpoints.
 	MaxCheckpoints int
-	// LadderDebug enables the ladder's debug cross-check: every
-	// incremental dirty-page DRAM convergence check also runs the exact
-	// full-image comparison and panics on disagreement. Process-wide and
-	// sticky once set (it flips soc.LadderDebugCompare); slow — for
-	// debugging and tests only.
-	LadderDebug bool
 	// StrikesPerComponent stratifies the modeled-strike Monte Carlo: that
 	// many strikes are simulated per component and each carries the weight
 	// expected_strikes(component)/samples. Zero derives a default from the
@@ -152,7 +146,10 @@ type Config struct {
 	// Verify simulates every strike while still computing the
 	// sequential cuts, then emits the truncated re-weighted result: a
 	// verify run's Workloads are byte-identical to a genuinely stopped
-	// run's, which is how tests cross-check the prefix property.
+	// run's, which is how tests cross-check the prefix property. It also
+	// sets soc.LadderDebugCompare (process-wide, sticky), cross-checking
+	// every incremental ladder convergence verdict against the exact
+	// full-image comparison.
 	Verify bool
 	// Provenance attaches a propagation-provenance probe to every strike:
 	// the struck location is tainted at strike time and traced records
@@ -202,9 +199,11 @@ func (c Config) withDefaults() Config {
 			c.StopCheckEvery = DefaultStopCheckEvery
 		}
 	}
-	if c.LadderDebug {
-		// One-way: never cleared here, so concurrent campaigns with the
-		// knob off cannot race a debugging campaign's setting away.
+	if c.Verify {
+		// Verify also cross-checks the ladder: every incremental DRAM
+		// convergence verdict against the full-image comparison. One-way:
+		// never cleared here, so concurrent campaigns without Verify
+		// cannot race a verifying campaign's setting away.
 		soc.LadderDebugCompare.Store(true)
 	}
 	c.Workers = sched.Resolve(c.Workers)

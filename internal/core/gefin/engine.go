@@ -96,6 +96,7 @@ func prepareWorkbench(cfg Config, spec bench.Spec) (*harness.Workbench, error) {
 	if wb.Ladder != nil {
 		cfg.Obs.LadderMemory(spec.Name, wb.Ladder.MemoryBytes(), wb.Ladder.SharedBytes())
 	}
+	cfg.Obs.LivenessMemory(spec.Name, wb.Liveness)
 	return wb, nil
 }
 

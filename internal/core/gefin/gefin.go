@@ -50,12 +50,6 @@ type Config struct {
 	// MaxCheckpoints caps the rungs a ladder may hold (the effective
 	// spacing grows to fit); zero picks soc.DefaultMaxCheckpoints.
 	MaxCheckpoints int
-	// LadderDebug enables the ladder's debug cross-check: every
-	// incremental dirty-page DRAM convergence check also runs the exact
-	// full-image comparison and panics on disagreement. Process-wide and
-	// sticky once set (it flips soc.LadderDebugCompare); slow — for
-	// debugging and tests only.
-	LadderDebug bool
 	// Workers bounds the campaign's worker pool. Each worker owns its own
 	// harness.Workbench (machines are stateful and cannot be shared); the
 	// full fault list is pre-drawn from the seeded RNG before execution
@@ -126,7 +120,10 @@ type Config struct {
 	// member against its representative — and any disagreement fails the
 	// campaign naming the slot. Sequential cuts are still computed but
 	// never applied, so a verify run's Workloads are byte-identical to a
-	// genuinely stopped run's. Slow; it turns on neither Prune nor Dedup.
+	// genuinely stopped run's. It also sets soc.LadderDebugCompare
+	// (process-wide, sticky), cross-checking every incremental ladder
+	// convergence verdict against the exact full-image comparison. Slow;
+	// it turns on neither Prune nor Dedup.
 	Verify bool
 	// Provenance attaches a propagation-provenance probe to every
 	// injection: the struck location is tainted at flip time, the memory
@@ -168,9 +165,11 @@ func (c Config) withDefaults() Config {
 			c.StopCheckEvery = DefaultStopCheckEvery
 		}
 	}
-	if c.LadderDebug {
-		// One-way: never cleared here, so concurrent campaigns with the
-		// knob off cannot race a debugging campaign's setting away.
+	if c.Verify {
+		// Verify also cross-checks the ladder: every incremental DRAM
+		// convergence verdict against the full-image comparison. One-way:
+		// never cleared here, so concurrent campaigns without Verify
+		// cannot race a verifying campaign's setting away.
 		soc.LadderDebugCompare.Store(true)
 	}
 	c.Workers = sched.Resolve(c.Workers)

@@ -3,6 +3,7 @@ package gefin
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 
 	"armsefi/internal/bench"
@@ -175,6 +176,47 @@ func TestRunTracedMultiWorkload(t *testing.T) {
 					t.Errorf("%s/%v/%v: trace %d, result %d",
 						w.Workload, cr.Comp, cls, c.Counts[cls], cr.Counts[cls])
 				}
+			}
+		}
+	}
+}
+
+// TestLivenessMemoryPublished: preparing a pruning workload publishes its
+// liveness log's retained event bytes and overflowed ways per structure
+// on the metrics registry, next to the ladder memory.
+func TestLivenessMemoryPublished(t *testing.T) {
+	spec, _ := bench.ByName("crc32")
+	cfg := Config{Prune: true, Obs: obs.New(obs.Options{})}.withDefaults()
+	wb, err := prepareWorkbench(cfg, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := cfg.Obs.Registry().WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	text := buf.String()
+	log := wb.Liveness
+	for _, s := range []struct {
+		comp        fault.Component
+		bytes, over int
+	}{
+		{fault.CompL1I, log.L1I.EventBytes(), log.L1I.Overflowed()},
+		{fault.CompL1D, log.L1D.EventBytes(), log.L1D.Overflowed()},
+		{fault.CompL2, log.L2.EventBytes(), log.L2.Overflowed()},
+		{fault.CompITLB, log.ITLB.EventBytes(), log.ITLB.Overflowed()},
+		{fault.CompDTLB, log.DTLB.EventBytes(), log.DTLB.Overflowed()},
+	} {
+		if s.bytes == 0 {
+			t.Errorf("%v: no event bytes retained", s.comp)
+		}
+		for name, v := range map[string]int{
+			"armsefi_liveness_event_bytes":     s.bytes,
+			"armsefi_liveness_overflowed_ways": s.over,
+		} {
+			line := fmt.Sprintf("%s{workload=\"crc32\",comp=%q} %d\n", name, s.comp.String(), v)
+			if !strings.Contains(text, line) {
+				t.Errorf("metrics lack %q", line)
 			}
 		}
 	}

@@ -205,3 +205,20 @@ func TestVerifyCatchesCorruptDedup(t *testing.T) {
 		p.dd.classOf[slot] = 0
 	}, slot)
 }
+
+// TestVerifyEnablesLadderCrossCheck: Verify turns on the ladder's
+// full-image convergence cross-check; a campaign without it leaves the
+// setting alone.
+func TestVerifyEnablesLadderCrossCheck(t *testing.T) {
+	prev := soc.LadderDebugCompare.Load()
+	t.Cleanup(func() { soc.LadderDebugCompare.Store(prev) })
+	soc.LadderDebugCompare.Store(false)
+	Config{}.withDefaults()
+	if soc.LadderDebugCompare.Load() {
+		t.Fatal("a campaign without Verify enabled the ladder cross-check")
+	}
+	Config{Verify: true}.withDefaults()
+	if !soc.LadderDebugCompare.Load() {
+		t.Fatal("Verify did not enable the ladder cross-check")
+	}
+}

@@ -36,6 +36,11 @@ const (
 	GoldenBudget = 4_000_000_000
 )
 
+// Liveness events store 32-bit cycle stamps (mem rejects a wider one) and
+// an instrumented replay stamps only cycles below GoldenBudget: this
+// declaration stops compiling if the budget outgrows the stamp.
+const _ uint32 = GoldenBudget
+
 // Workbench is a machine prepared to run one workload repeatedly.
 type Workbench struct {
 	Machine *soc.Machine

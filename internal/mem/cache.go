@@ -78,7 +78,6 @@ type Cache struct {
 	below   Backing
 	tick    uint64
 	stats   CacheStats
-	life    *LifetimeTracker
 	rec     *CacheLiveness
 	offBits uint
 	setBits uint
@@ -214,9 +213,6 @@ func (c *Cache) fill(tag, set uint32, addr uint32) (int, int, bool) {
 	w := c.victim(set)
 	ln := &c.lines[set][w]
 	lat := 0
-	if c.life != nil && ln.valid {
-		c.life.evict(c.lifeIdx(set, w), ln.dirty)
-	}
 	if c.rec != nil && ln.valid {
 		c.rec.evict(set, w, ln.dirty)
 	}
@@ -267,9 +263,6 @@ func (c *Cache) fill(tag, set uint32, addr uint32) (int, int, bool) {
 	ln.dirty = false
 	ln.tag = tag
 	c.syncMirror(set, w)
-	if c.life != nil {
-		c.life.open(c.lifeIdx(set, w), false)
-	}
 	if c.rec != nil {
 		c.rec.fill(set, w, addr&^(c.cfg.LineBytes-1))
 	}
@@ -302,9 +295,6 @@ func (c *Cache) access(addr uint32, buf []byte, write bool) (int, bool) {
 	if write {
 		copy(ln.data[off:], buf)
 		ln.dirty = true
-		if c.life != nil {
-			c.life.write(c.lifeIdx(set, w))
-		}
 		if c.rec != nil {
 			c.rec.access(set, w, off, uint32(len(buf)), true)
 		}
@@ -314,9 +304,6 @@ func (c *Cache) access(addr uint32, buf []byte, write bool) (int, bool) {
 		}
 	} else {
 		copy(buf, ln.data[off:int(off)+len(buf)])
-		if c.life != nil {
-			c.life.read(c.lifeIdx(set, w))
-		}
 		if c.rec != nil {
 			c.rec.access(set, w, off, uint32(len(buf)), false)
 		}
@@ -371,9 +358,6 @@ func (c *Cache) FetchLine(addr uint32, buf []byte) (int, bool) {
 	c.tick++
 	ln.lru = c.tick
 	copy(buf, ln.data)
-	if c.life != nil {
-		c.life.read(c.lifeIdx(set, w))
-	}
 	if c.rec != nil {
 		c.rec.access(set, w, 0, c.cfg.LineBytes, false)
 	}
@@ -407,9 +391,6 @@ func (c *Cache) WriteBackLine(addr uint32, buf []byte) (int, bool) {
 	ln.lru = c.tick
 	copy(ln.data, buf)
 	ln.dirty = true
-	if c.life != nil {
-		c.life.write(c.lifeIdx(set, w))
-	}
 	if c.rec != nil {
 		c.rec.access(set, w, 0, c.cfg.LineBytes, true)
 	}
@@ -432,9 +413,6 @@ func (c *Cache) InvalidateAll() {
 	}
 	for s := range c.lines {
 		for w := range c.lines[s] {
-			if c.life != nil && c.lines[s][w].valid {
-				c.life.evict(c.lifeIdx(uint32(s), w), false)
-			}
 			if c.rec != nil && c.lines[s][w].valid {
 				// Invalidation discards dirty data without writeback: a
 				// clean-discard event, matching the probe's verdict.
@@ -753,9 +731,6 @@ func (c *Cache) InvalidateRange(base, size uint32) {
 			}
 			addr := c.lineAddr(ln.tag, uint32(s))
 			if addr >= base && addr < base+size {
-				if c.life != nil {
-					c.life.evict(c.lifeIdx(uint32(s), w), false)
-				}
 				if c.rec != nil {
 					c.rec.evict(uint32(s), w, false)
 				}

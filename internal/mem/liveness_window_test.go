@@ -1,6 +1,10 @@
 package mem
 
-import "testing"
+import (
+	"math"
+	"reflect"
+	"testing"
+)
 
 // enumOf collects a bit's quiescent windows as (start, width) pairs.
 func enumOf(t *testing.T, enum func(uint64, uint64, func(start, width uint64)) bool, bit, maxCycle uint64) [][2]uint64 {
@@ -169,4 +173,95 @@ func TestTLBWindowRestriction(t *testing.T) {
 	if w1 == w2 {
 		t.Fatalf("flips across a consuming lookup share window %d", w1)
 	}
+}
+
+// TestLivenessCoalescing: a note continuing the previous event (same
+// stamp and kind, range starting at its end) widens it, and nothing else
+// merges — a gap, a repeat of the same range, another kind or another
+// stamp each keep their own event, so every byte sees exactly its own
+// covering events.
+func TestLivenessCoalescing(t *testing.T) {
+	var now uint64
+	c, r := liveCache(&now)
+	now = 5
+	c.Read(24, 4) // fill [0,32) + read [24,28)
+	now = 10
+	c.Read(0, 4)
+	c.Read(4, 4)      // continues [0,4): one event [0,8)
+	c.Read(16, 4)     // gap at [8,16): a new event
+	c.Read(16, 4)     // repeat of the same range: a new event
+	c.Write(20, 4, 1) // contiguous but another kind: a new event
+	now = 11
+	c.Read(24, 4) // contiguous with nothing at stamp 11: a new event
+
+	w := &r.ways[0]
+	want := []liveEvent{
+		{stamp: 5, lo: 0, hi: 32, kind: liveFill},
+		{stamp: 5, lo: 24, hi: 28, kind: liveRead},
+		{stamp: 10, lo: 0, hi: 8, kind: liveRead},
+		{stamp: 10, lo: 16, hi: 20, kind: liveRead},
+		{stamp: 10, lo: 16, hi: 20, kind: liveRead},
+		{stamp: 10, lo: 20, hi: 24, kind: liveWrite},
+		{stamp: 11, lo: 24, hi: 28, kind: liveRead},
+	}
+	if !reflect.DeepEqual(w.events, want) || w.notes != 8 {
+		t.Fatalf("events %+v (notes %d), want %+v (notes 8)", w.events, w.notes, want)
+	}
+	// Byte 12 lies in the gap: no read covers it, the flip stays latent
+	// and no event separates flips at 6 and 11.
+	const byte12 = 12 * 8
+	if q := r.QueryBit(byte12, 6); q.Verdict != LiveLatent {
+		t.Fatalf("gap byte: %+v", q)
+	}
+	w6, _, _ := r.WindowOf(byte12, 6)
+	w11, _, _ := r.WindowOf(byte12, 11)
+	if w6 != w11 {
+		t.Fatalf("gap byte windows %d and %d, want one", w6, w11)
+	}
+	// Byte 17 sees both reads at 10: two covering events, one window
+	// between them of width zero, which the tiling skips.
+	if w, _, _ := r.WindowOf(17*8, 11); w != 3 {
+		t.Fatalf("byte 17 window at 11 = %d, want 3 (fill + two reads)", w)
+	}
+	if got := enumOf(t, r.EnumWindows, 17*8, 20); !reflect.DeepEqual(got, [][2]uint64{{0, 6}, {6, 5}, {11, 9}}) {
+		t.Fatalf("byte 17 windows %v", got)
+	}
+}
+
+// TestOverflowCountsNotes: the event cap counts recorder notes, not
+// stored events, so coalescing never moves the overflow point.
+func TestOverflowCountsNotes(t *testing.T) {
+	var now uint64
+	c, r := liveCache(&now)
+	now = 1
+	// The fill is the first note; runs of eight reads coalesce to one
+	// event each.
+	for i := 0; i < liveEventCap-1; i++ {
+		c.Read(uint32(i%8)*4, 4)
+	}
+	if r.Overflowed() != 0 || len(r.ways[0].events) != 1+liveEventCap/8 {
+		t.Fatalf("overflowed %d, %d events after %d notes", r.Overflowed(), len(r.ways[0].events), liveEventCap)
+	}
+	c.Read(0, 4)
+	if r.Overflowed() != 1 {
+		t.Fatal("no overflow after exceeding the note cap")
+	}
+}
+
+// TestLivenessStampRange: a stamp that does not fit the 32-bit event
+// stamp is rejected, never truncated.
+func TestLivenessStampRange(t *testing.T) {
+	now := uint64(math.MaxUint32)
+	c, r := liveCache(&now)
+	c.Read(0, 4)
+	if got := r.ways[0].events[1].stamp; got != math.MaxUint32 {
+		t.Fatalf("stamp %d, want %d", got, uint32(math.MaxUint32))
+	}
+	now++
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a 2^32 stamp was accepted")
+		}
+	}()
+	c.Read(0, 4)
 }

@@ -61,7 +61,9 @@ func (k ProbeEventKind) String() string {
 // MarshalText renders the kind as its short name (JSONL trace field).
 func (k ProbeEventKind) MarshalText() ([]byte, error) { return []byte(k.String()), nil }
 
-// UnmarshalText parses a short name produced by MarshalText.
+// UnmarshalText parses a name produced by MarshalText, including the
+// numeric fallback form String prints for unnamed kinds
+// ("probe-event(N)"), so every value round-trips.
 func (k *ProbeEventKind) UnmarshalText(text []byte) error {
 	s := string(text)
 	for i, n := range probeEventNames {
@@ -69,6 +71,11 @@ func (k *ProbeEventKind) UnmarshalText(text []byte) error {
 			*k = ProbeEventKind(i)
 			return nil
 		}
+	}
+	var n uint8
+	if _, err := fmt.Sscanf(s, "probe-event(%d)", &n); err == nil {
+		*k = ProbeEventKind(n)
+		return nil
 	}
 	return fmt.Errorf("mem: unknown probe event kind %q", s)
 }

@@ -159,7 +159,8 @@ func TestProbeResetReuse(t *testing.T) {
 // TestProbeEventKindText: the JSONL trace round-trips event kinds by
 // short name.
 func TestProbeEventKindText(t *testing.T) {
-	kinds := []ProbeEventKind{ProbeRead, ProbeOverwrite, ProbeCleanEvict, ProbeWriteback, ProbeCommit}
+	// Unnamed kinds (0, 200) round-trip through their numeric form.
+	kinds := []ProbeEventKind{0, ProbeRead, ProbeOverwrite, ProbeCleanEvict, ProbeWriteback, ProbeCommit, 200}
 	for _, k := range kinds {
 		text, err := k.MarshalText()
 		if err != nil {

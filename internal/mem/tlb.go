@@ -76,7 +76,6 @@ type TLB struct {
 	entries []TLBEntry
 	tick    uint64
 	stats   TLBStats
-	life    *LifetimeTracker
 	rec     *TLBLiveness
 
 	// mru remembers the index of the last hit so the steady-state case —
@@ -136,13 +135,10 @@ func (t *TLB) Lookup(vpn uint32) (TLBEntry, bool) {
 }
 
 // hit applies the bookkeeping every lookup hit performs regardless of how
-// the entry was found: LRU touch, lifetime read, taint consumption.
+// the entry was found: LRU touch, liveness read, taint consumption.
 func (t *TLB) hit(i int) TLBEntry {
 	t.tick++
 	t.entries[i].lru = t.tick
-	if t.life != nil {
-		t.life.read(i)
-	}
 	if t.rec != nil {
 		t.rec.read(i)
 	}
@@ -179,9 +175,6 @@ func (t *TLB) Insert(vpn, ppn uint32, user, writable bool) {
 	}
 	t.tick++
 	t.entries[victim] = TLBEntry{bits: packTLBEntry(vpn, ppn, user, writable), lru: t.tick}
-	if t.life != nil {
-		t.life.open(victim, false)
-	}
 	if t.rec != nil {
 		t.rec.insert(victim)
 	}
@@ -204,9 +197,6 @@ func (t *TLB) InvalidateAll() {
 		t.ClearTaint()
 	}
 	for i := range t.entries {
-		if t.life != nil && t.entries[i].Valid() {
-			t.life.evict(i, false)
-		}
 		if t.rec != nil && t.entries[i].Valid() {
 			t.rec.invalidate(i)
 		}

@@ -290,6 +290,36 @@ func (o *Observer) LadderMemory(workload string, total, shared int) {
 	o.ladderMu.Unlock()
 }
 
+// LivenessMemory publishes the size of a workload's liveness log per
+// recorded structure: the bytes its event streams retain, and how many
+// ways or entries overflowed the event cap (their faults are never
+// predicted or deduplicated, so they always simulate).
+func (o *Observer) LivenessMemory(workload string, log *soc.LivenessLog) {
+	if o == nil || log == nil {
+		return
+	}
+	for _, s := range []struct {
+		comp fault.Component
+		rec  interface {
+			EventBytes() int
+			Overflowed() int
+		}
+	}{
+		{fault.CompL1I, log.L1I},
+		{fault.CompL1D, log.L1D},
+		{fault.CompL2, log.L2},
+		{fault.CompITLB, log.ITLB},
+		{fault.CompDTLB, log.DTLB},
+	} {
+		o.reg.Gauge("armsefi_liveness_event_bytes",
+			"liveness-log event bytes retained, by workload and structure",
+			"workload", workload, "comp", s.comp.String()).Set(float64(s.rec.EventBytes()))
+		o.reg.Gauge("armsefi_liveness_overflowed_ways",
+			"liveness-log ways or entries whose recording overflowed the event cap, by workload and structure",
+			"workload", workload, "comp", s.comp.String()).Set(float64(s.rec.Overflowed()))
+	}
+}
+
 // LadderMemoryTotals sums the latest per-workload checkpoint-memory
 // figures across workloads — the node-level numbers telemetry federates
 // to the fleet view.
