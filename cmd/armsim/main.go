@@ -30,19 +30,6 @@ func main() {
 	}
 }
 
-func parseScale(s string) (bench.Scale, error) {
-	switch s {
-	case "tiny":
-		return bench.ScaleTiny, nil
-	case "small":
-		return bench.ScaleSmall, nil
-	case "paper":
-		return bench.ScalePaper, nil
-	default:
-		return 0, fmt.Errorf("unknown scale %q (tiny|small|paper)", s)
-	}
-}
-
 func parsePreset(s string) (soc.Config, error) {
 	switch s {
 	case "zynq":
@@ -51,17 +38,6 @@ func parsePreset(s string) (soc.Config, error) {
 		return soc.PresetModel(), nil
 	default:
 		return soc.Config{}, fmt.Errorf("unknown preset %q (zynq|gem5)", s)
-	}
-}
-
-func parseModel(s string) (soc.ModelKind, error) {
-	switch s {
-	case "atomic":
-		return soc.ModelAtomic, nil
-	case "detailed":
-		return soc.ModelDetailed, nil
-	default:
-		return 0, fmt.Errorf("unknown model %q (atomic|detailed)", s)
 	}
 }
 
@@ -104,11 +80,11 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	model, err := parseModel(*modelFlag)
+	model, err := soc.ParseModel(*modelFlag)
 	if err != nil {
 		return err
 	}
-	scale, err := parseScale(*scaleFlag)
+	scale, err := bench.ParseScale(*scaleFlag)
 	if err != nil {
 		return err
 	}

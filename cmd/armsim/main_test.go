@@ -12,12 +12,12 @@ func TestParseScale(t *testing.T) {
 		"tiny": bench.ScaleTiny, "small": bench.ScaleSmall, "paper": bench.ScalePaper,
 	}
 	for in, want := range cases {
-		got, err := parseScale(in)
+		got, err := bench.ParseScale(in)
 		if err != nil || got != want {
-			t.Errorf("parseScale(%q) = %v, %v", in, got, err)
+			t.Errorf("bench.ParseScale(%q) = %v, %v", in, got, err)
 		}
 	}
-	if _, err := parseScale("huge"); err == nil {
+	if _, err := bench.ParseScale("huge"); err == nil {
 		t.Error("bad scale accepted")
 	}
 }
@@ -37,13 +37,13 @@ func TestParsePreset(t *testing.T) {
 }
 
 func TestParseModel(t *testing.T) {
-	if m, err := parseModel("atomic"); err != nil || m != soc.ModelAtomic {
+	if m, err := soc.ParseModel("atomic"); err != nil || m != soc.ModelAtomic {
 		t.Error("atomic")
 	}
-	if m, err := parseModel("detailed"); err != nil || m != soc.ModelDetailed {
+	if m, err := soc.ParseModel("detailed"); err != nil || m != soc.ModelDetailed {
 		t.Error("detailed")
 	}
-	if _, err := parseModel("rtl"); err == nil {
+	if _, err := soc.ParseModel("rtl"); err == nil {
 		t.Error("bad model accepted")
 	}
 }

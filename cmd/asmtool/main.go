@@ -44,15 +44,9 @@ func run() error {
 		if !ok {
 			return fmt.Errorf("unknown workload %q", *workload)
 		}
-		sc := bench.ScaleTiny
-		switch *scale {
-		case "tiny":
-		case "small":
-			sc = bench.ScaleSmall
-		case "paper":
-			sc = bench.ScalePaper
-		default:
-			return fmt.Errorf("unknown scale %q", *scale)
+		sc, err := bench.ParseScale(*scale)
+		if err != nil {
+			return err
 		}
 		built, err := spec.Build(soc.UserAsmConfig(), sc)
 		if err != nil {

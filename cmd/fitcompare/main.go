@@ -14,14 +14,14 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"strings"
 	"time"
 
 	"armsefi/internal/bench"
+	"armsefi/internal/cli"
 	"armsefi/internal/core/beam"
 	"armsefi/internal/core/fault"
 	"armsefi/internal/core/fit"
@@ -35,64 +35,33 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "fitcompare:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("fitcompare", flag.ExitOnError)
+	fs.SetOutput(stderr)
+	cf := cli.Register(fs, false)
 	var (
-		workloads = flag.String("workloads", "", "comma-separated workloads (default: all 13)")
-		faults    = flag.Int("faults", 200, "faults per component for the injection campaign")
-		hours     = flag.Float64("hours", 2, "beam hours per workload")
-		scaleFlag = flag.String("scale", "tiny", "input scale (tiny|small|paper)")
-		seed      = flag.Int64("seed", 1, "seed for both campaigns")
-		workers   = flag.Int("workers", 0, "parallel workers; 0 = GOMAXPROCS, 1 = sequential (same result either way)")
-		static    = flag.Bool("static", false, "print Tables I-III and exit")
-		counters  = flag.Bool("counters", false, "print the Section IV-D counter study and exit")
-		jsonOut   = flag.String("json", "", "also write beam+injection results and comparisons as JSON")
-		quiet     = flag.Bool("quiet", false, "suppress progress output")
-		tracePath = flag.String("trace", "", "stream both campaigns' JSONL lifecycle traces to this file")
-		prov      = flag.Bool("prov", false,
-			"attach the propagation-provenance probe to both campaigns (results are byte-identical either way)")
-		metrics = flag.String("metrics-addr", "", "serve live metrics and pprof on HOST:PORT")
-		ckEvery = flag.Uint64("checkpoint-every", soc.DefaultCheckpointEvery,
-			"golden-run checkpoint-ladder rung spacing in cycles for both campaigns; 0 disables the ladder (results are bit-identical either way)")
-		ckMax = flag.Int("max-checkpoints", soc.DefaultMaxCheckpoints,
-			"cap on checkpoint-ladder rungs per workload (spacing grows to fit)")
-		confidence = flag.Float64("confidence", 0.95,
+		faults     = fs.Int("faults", 200, "faults per component for the injection campaign")
+		hours      = fs.Float64("hours", 2, "beam hours per workload")
+		static     = fs.Bool("static", false, "print Tables I-III and exit")
+		counters   = fs.Bool("counters", false, "print the Section IV-D counter study and exit")
+		confidence = fs.Float64("confidence", 0.95,
 			"confidence level for the beam-vs-injection significance verdicts (Poisson vs Wilson interval overlap)")
-		prune = flag.Bool("prune", false,
+		prune = fs.Bool("prune", false,
 			"pre-filter the injection campaign's fault plan against a liveness replay and skip provably-masked injections (results are byte-identical either way; beam strikes always execute)")
-		dedup = flag.Bool("dedup", false,
+		dedup = fs.Bool("dedup", false,
 			"collapse the injection campaign's plan into equivalence classes and simulate one representative per class (results are byte-identical either way; beam strikes always execute)")
-		verify = flag.Bool("verify", false,
-			"cross-validate the injection campaign's shortcuts: simulate every injection and check each -prune prediction and -dedup materialization against it, failing on any disagreement, and cross-check every incremental ladder convergence verdict against the exact full-image comparison (turns on neither)")
 	)
-	flag.Parse()
+	fs.Parse(args)
 
-	scale := bench.ScaleTiny
-	switch *scaleFlag {
-	case "tiny":
-	case "small":
-		scale = bench.ScaleSmall
-	case "paper":
-		scale = bench.ScalePaper
-	default:
-		return fmt.Errorf("unknown scale %q", *scaleFlag)
-	}
-
-	specs := bench.All()
-	if *workloads != "" {
-		specs = specs[:0]
-		for _, name := range strings.Split(*workloads, ",") {
-			s, ok := bench.ByName(strings.TrimSpace(name))
-			if !ok {
-				return fmt.Errorf("unknown workload %q", name)
-			}
-			specs = append(specs, s)
-		}
+	specs, scale, err := cf.Resolve()
+	if err != nil {
+		return err
 	}
 
 	if *static {
@@ -100,19 +69,19 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		fmt.Println(report.TableI(rows))
-		fmt.Println(report.TableII(soc.PresetZynq(), soc.PresetModel()))
-		fmt.Println(report.TableIII(bench.All()))
+		fmt.Fprintln(stdout, report.TableI(rows))
+		fmt.Fprintln(stdout, report.TableII(soc.PresetZynq(), soc.PresetModel()))
+		fmt.Fprintln(stdout, report.TableIII(bench.All()))
 		return nil
 	}
 	if *counters {
-		return runCounterStudy(specs, scale)
+		return runCounterStudy(stdout, specs, scale)
 	}
 
 	// One observer spans both campaigns: strikes and injections land in the
 	// same trace file (distinguished by the record kind) and the same
 	// metrics registry.
-	ocli, err := obs.SetupCLI(*tracePath, *metrics)
+	ocli, err := obs.SetupCLI(cf.Trace, cf.MetricsAddr)
 	if err != nil {
 		return err
 	}
@@ -120,31 +89,31 @@ func run() error {
 
 	// Beam campaign on the board preset.
 	beamCfg := beam.Config{
-		Scale: scale, Seed: *seed, BeamHours: *hours, Workers: *workers,
-		CheckpointEvery: *ckEvery, MaxCheckpoints: *ckMax, Obs: ocli.Obs,
-		Provenance: *prov,
+		Scale: scale, Seed: cf.Seed, BeamHours: *hours, Workers: cf.Workers,
+		CheckpointEvery: cf.CheckpointEvery, MaxCheckpoints: cf.MaxCheckpoints, Obs: ocli.Obs,
+		Provenance: cf.Prov,
 	}
 	var beamProg beam.Progress
 	var gefinProg gefin.Progress
-	if !*quiet {
+	if !cf.Quiet {
 		// Aggregated single-line printers: workloads run concurrently, so
 		// per-workload `\r` lines would interleave. Each engine serialises
 		// its events, so the closures need no locks.
 		beamProg = func(ev beam.ProgressEvent) {
-			fmt.Fprintf(os.Stderr, "\rbeam  %6d/%d strikes | %d workers | %6.1f/s | ETA %-12v",
+			fmt.Fprintf(stderr, "\rbeam  %6d/%d strikes | %d workers | %6.1f/s | ETA %-12v",
 				ev.CampaignDone, ev.CampaignTotal, ev.Workers, ev.Rate, ev.ETA.Truncate(time.Second))
 			if ev.CampaignDone == ev.CampaignTotal {
-				fmt.Fprintln(os.Stderr)
+				fmt.Fprintln(stderr)
 			}
 		}
 		gefinProg = func(ev gefin.ProgressEvent) {
 			if ev.CampaignDone%50 != 0 && ev.CampaignDone != ev.CampaignTotal {
 				return
 			}
-			fmt.Fprintf(os.Stderr, "\rgefin %6d/%d injections | %d workers | %6.1f/s | ETA %-12v",
+			fmt.Fprintf(stderr, "\rgefin %6d/%d injections | %d workers | %6.1f/s | ETA %-12v",
 				ev.CampaignDone, ev.CampaignTotal, ev.Workers, ev.Rate, ev.ETA.Truncate(time.Second))
 			if ev.CampaignDone == ev.CampaignTotal {
-				fmt.Fprintln(os.Stderr)
+				fmt.Fprintln(stderr)
 			}
 		}
 	}
@@ -155,9 +124,9 @@ func run() error {
 
 	// Injection campaign on the model preset.
 	injCfg := gefin.Config{
-		Scale: scale, Seed: *seed, FaultsPerComponent: *faults, Workers: *workers,
-		CheckpointEvery: *ckEvery, MaxCheckpoints: *ckMax, Obs: ocli.Obs,
-		Provenance: *prov, Prune: *prune, Dedup: *dedup, Verify: *verify,
+		Scale: scale, Seed: cf.Seed, FaultsPerComponent: *faults, Workers: cf.Workers,
+		CheckpointEvery: cf.CheckpointEvery, MaxCheckpoints: cf.MaxCheckpoints, Obs: ocli.Obs,
+		Provenance: cf.Prov, Prune: *prune, Dedup: *dedup, Verify: cf.Verify,
 	}
 	injRes, err := gefin.Run(injCfg, specs, gefinProg)
 	if err != nil {
@@ -167,13 +136,13 @@ func run() error {
 		return err
 	}
 
-	fmt.Println(report.Fig3(beamRes))
-	fmt.Println(report.Fig4(injRes))
+	fmt.Fprintln(stdout, report.Fig3(beamRes))
+	fmt.Fprintln(stdout, report.Fig4(injRes))
 	if s := injRes.Prune; s != nil {
-		fmt.Println(report.PruneSplit(s))
+		fmt.Fprintln(stdout, report.PruneSplit(s))
 	}
 	if s := injRes.Dedup; s != nil {
-		fmt.Println(report.DedupSplit(s))
+		fmt.Fprintln(stdout, report.DedupSplit(s))
 	}
 
 	z := stats.ConfidenceZ(*confidence)
@@ -186,32 +155,23 @@ func run() error {
 			comparisons = append(comparisons, fit.CompareCI(bw, w, fit.DefaultFITRawPerBit, z))
 		}
 	}
-	fmt.Println(report.Fig5(injs))
-	fmt.Println(report.FigRatio("Figure 6: SDC FIT comparison (beam vs injection)", comparisons, fault.ClassSDC))
-	fmt.Println(report.FigRatio("Figure 7: Application Crash FIT comparison", comparisons, fault.ClassAppCrash))
-	fmt.Println(report.FigRatio("Figure 8: System Crash FIT comparison", comparisons, fault.ClassSysCrash))
-	fmt.Println(report.Fig9(comparisons))
-	fmt.Println(report.Fig10(fit.AggregateComparisons(comparisons)))
+	fmt.Fprintln(stdout, report.Fig5(injs))
+	fmt.Fprintln(stdout, report.FigRatio("Figure 6: SDC FIT comparison (beam vs injection)", comparisons, fault.ClassSDC))
+	fmt.Fprintln(stdout, report.FigRatio("Figure 7: Application Crash FIT comparison", comparisons, fault.ClassAppCrash))
+	fmt.Fprintln(stdout, report.FigRatio("Figure 8: System Crash FIT comparison", comparisons, fault.ClassSysCrash))
+	fmt.Fprintln(stdout, report.Fig9(comparisons))
+	fmt.Fprintln(stdout, report.Fig10(fit.AggregateComparisons(comparisons)))
 	if s := report.Significance(comparisons, *confidence); s != "" {
-		fmt.Println(s)
+		fmt.Fprintln(stdout, s)
 	}
-	fmt.Println(report.TableIV(injRes))
-	if *jsonOut != "" {
-		payload := struct {
-			Beam        *beam.Result
-			Injection   *gefin.Result
-			Comparisons []fit.Comparison
-			Aggregate   fit.Aggregate
-		}{beamRes, injRes, comparisons, fit.AggregateComparisons(comparisons)}
-		data, err := json.MarshalIndent(payload, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(*jsonOut, data, 0o644); err != nil {
-			return err
-		}
-	}
-	return nil
+	fmt.Fprintln(stdout, report.TableIV(injRes))
+	payload := struct {
+		Beam        *beam.Result
+		Injection   *gefin.Result
+		Comparisons []fit.Comparison
+		Aggregate   fit.Aggregate
+	}{beamRes, injRes, comparisons, fit.AggregateComparisons(comparisons)}
+	return cli.WriteJSON(cf.JSON, payload)
 }
 
 // MeasureTableI measures the cycles/sec of each abstraction layer on this
@@ -306,7 +266,7 @@ func nativeCRC32(data []byte) uint32 {
 
 // runCounterStudy reproduces Section IV-D: run each workload on both
 // platform presets and report per-counter deviations.
-func runCounterStudy(specs []bench.Spec, scale bench.Scale) error {
+func runCounterStudy(stdout io.Writer, specs []bench.Spec, scale bench.Scale) error {
 	within := 0
 	total := 0
 	for _, spec := range specs {
@@ -322,7 +282,7 @@ func runCounterStudy(specs []bench.Spec, scale bench.Scale) error {
 		if err != nil {
 			return err
 		}
-		fmt.Println(report.CounterDeviation(spec.Name, zm, mm))
+		fmt.Fprintln(stdout, report.CounterDeviation(spec.Name, zm, mm))
 		for _, name := range cpu.CounterNames {
 			zv, _ := zm.Value(name)
 			mv, _ := mm.Value(name)
@@ -339,7 +299,7 @@ func runCounterStudy(specs []bench.Spec, scale bench.Scale) error {
 			}
 		}
 	}
-	fmt.Printf("%d of %d counters (%.0f%%) deviate by less than 10%% between the two setups\n",
+	fmt.Fprintf(stdout, "%d of %d counters (%.0f%%) deviate by less than 10%% between the two setups\n",
 		within, total, 100*float64(within)/float64(total))
 	return nil
 }

@@ -16,6 +16,7 @@ package bench
 import (
 	"fmt"
 	"sort"
+	"strings"
 
 	"armsefi/internal/asm"
 )
@@ -42,6 +43,20 @@ func (s Scale) String() string {
 	default:
 		return fmt.Sprintf("scale(%d)", uint8(s))
 	}
+}
+
+// ParseScale parses a scale name as the campaign commands' -scale flag
+// spells it.
+func ParseScale(s string) (Scale, error) {
+	switch s {
+	case "tiny":
+		return ScaleTiny, nil
+	case "small":
+		return ScaleSmall, nil
+	case "paper":
+		return ScalePaper, nil
+	}
+	return 0, fmt.Errorf("unknown scale %q (tiny|small|paper)", s)
 }
 
 // Built is a workload instantiated at a scale, ready to load into a
@@ -115,6 +130,39 @@ func All() []Spec {
 		out = append(out, s)
 	}
 	return out
+}
+
+// Select resolves a comma-separated workload list, as the campaign
+// commands' -workloads flag takes it; the empty list selects All.
+func Select(list string) ([]Spec, error) {
+	if list == "" {
+		return All(), nil
+	}
+	names := strings.Split(list, ",")
+	for i := range names {
+		names[i] = strings.TrimSpace(names[i])
+	}
+	return Lookup(names)
+}
+
+// Lookup resolves workload names in order, rejecting unknown and repeated
+// names: a campaign runs each workload once, and its per-workload results
+// and shards are keyed by name.
+func Lookup(names []string) ([]Spec, error) {
+	specs := make([]Spec, 0, len(names))
+	seen := make(map[string]bool, len(names))
+	for _, name := range names {
+		s, ok := registry[name]
+		if !ok {
+			return nil, fmt.Errorf("unknown workload %q", name)
+		}
+		if seen[name] {
+			return nil, fmt.Errorf("workload %q listed twice", name)
+		}
+		seen[name] = true
+		specs = append(specs, s)
+	}
+	return specs, nil
 }
 
 // Names returns every registered workload name (including the FIT-raw

@@ -315,25 +315,6 @@ type ProgressEvent struct {
 // the concurrency contract.
 type Progress func(ProgressEvent)
 
-// chainResult accumulates one component chain's contribution to the
-// workload result.
-type chainResult struct {
-	events             map[fault.Class]float64
-	masked             int
-	sims               int
-	totalMismatches    uint64
-	weightedMismatches float64
-	// counts tallies the chain's strikes by final class (raw, unweighted;
-	// sims is their sum); the remaining fields report the
-	// sequential-stopping outcome (filled by chainStop.finishChain; zero
-	// without a monitor).
-	counts  [fault.NumClasses]int
-	planned int
-	looks   int
-	margin  float64
-	stopped bool
-}
-
 // chainSeed derives the per-(workload, component) RNG stream of one strike
 // chain from the campaign seed.
 func chainSeed(seed int64, workload string, comp fault.Component) int64 {
@@ -344,21 +325,28 @@ func chainSeed(seed int64, workload string, comp fault.Component) int64 {
 	return seed ^ int64(h.Sum64())
 }
 
-// runChain exposes one component to the beam for perComp strikes on one
-// workbench. A chain is a self-contained live-board session: it starts by
-// bringing the board to steady state, and corruption then persists across
-// its strikes until a crash forces a reboot — exactly the physics of the
-// sequential simulator, scoped to one component so chains can run
-// concurrently on sibling machines. tc stamps distributed trace context
+// runChain exposes one component to the beam for meta.PerComp strikes on
+// one workbench and returns the chain's wire record. A chain is a
+// self-contained live-board session: it starts by bringing the board to
+// steady state, and corruption then persists across its strikes until a
+// crash forces a reboot — exactly the physics of the sequential
+// simulator, scoped to one component so chains can run concurrently on
+// sibling machines or on other nodes. tc stamps distributed trace context
 // onto emitted strike records; the zero context stamps nothing.
 func runChain(cfg Config, wb *harness.Workbench, spec bench.Spec, comp fault.Component,
-	perComp int, fluence float64, conv *obs.ConvRegistry, em *emitter, totalSims, worker int, tc obs.TraceContext) chainResult {
+	meta ShardMeta, conv *obs.ConvRegistry, em *emitter, worker int, tc obs.TraceContext) *ChainOutcome {
 	m := wb.Machine
 	built := wb.Built
+	perComp := meta.PerComp
+	totalSims := perComp * ShardsPerWorkload
 	bits := fault.SizeBits(m, comp)
-	weight := fluence * float64(bits) * cfg.BitXS / float64(perComp)
+	weight := meta.Fluence * float64(bits) * cfg.BitXS / float64(perComp)
 	rng := rand.New(rand.NewSource(chainSeed(cfg.Seed, spec.Name, comp)))
-	out := chainResult{events: make(map[fault.Class]float64, fault.NumClasses), planned: perComp}
+	out := &ChainOutcome{
+		Events:  make(map[fault.Class]float64, fault.NumClasses),
+		Counts:  make(map[fault.Class]int, fault.NumClasses),
+		Planned: perComp,
+	}
 	cs := newChainStop(cfg, spec.Name, comp, perComp, conv, tc)
 
 	// The board runs the workload in a loop from its warm post-boot state.
@@ -390,21 +378,21 @@ func runChain(cfg Config, wb *harness.Workbench, spec bench.Spec, comp fault.Com
 		})
 		class := fault.Classify(runRes, built.Golden, cfg.Preset.TimerPeriod)
 		if mm := probeMismatches(spec, runRes.Output); mm > 0 {
-			out.totalMismatches += mm
+			out.TotalMismatches += mm
 			// Only strikes into the L1D array count toward the FIT-raw
 			// estimate: the probe characterises that array, and the
 			// simulated oracle can attribute exactly (the physical
 			// experiment relies on the beam spot and timing to do the
 			// same).
 			if comp == fault.CompL1D {
-				out.weightedMismatches += float64(mm) * weight
+				out.WeightedMismatches += float64(mm) * weight
 			}
 		}
-		out.sims++
+		out.Sims++
 		followup := false
 		var follow soc.Result
 		if class == fault.ClassMasked {
-			out.masked++
+			out.Masked++
 			// The corruption may be latent (e.g., a flipped kernel line
 			// not yet touched): run one follow-up execution on the live
 			// state before declaring it benign. The probe stays armed: a
@@ -415,13 +403,13 @@ func runChain(cfg Config, wb *harness.Workbench, spec bench.Spec, comp fault.Com
 			if fclass != fault.ClassMasked {
 				class = fclass
 				followup = true
-				out.masked--
+				out.Masked--
 			}
 		}
 		if class != fault.ClassMasked {
-			out.events[class] += weight
+			out.Events[class] += weight
 		}
-		out.counts[int(class)-1]++
+		out.Counts[class]++
 		if cfg.Obs.On() {
 			rec := obs.Record{
 				Kind:       obs.KindStrike,
@@ -460,7 +448,7 @@ func runChain(cfg Config, wb *harness.Workbench, spec bench.Spec, comp fault.Com
 			// lifecycle events.
 			fault.Disarm(m)
 		}
-		if cs.record(&out) {
+		if cs.record(out) {
 			// The sequential rule truncated the chain; the next chain on
 			// this workbench starts from a fresh steady state anyway.
 			em.tick(spec.Name, totalSims)
@@ -474,7 +462,7 @@ func runChain(cfg Config, wb *harness.Workbench, spec bench.Spec, comp fault.Com
 		m.RestartApp(wb.Snap)
 		em.tick(spec.Name, totalSims)
 	}
-	cs.finishChain(&out)
+	cs.finishChain(out)
 	return out
 }
 
@@ -492,25 +480,14 @@ func steadyState(cfg Config, wb *harness.Workbench) {
 	wb.Machine.Run(wb.Watchdog)
 }
 
-// RunWorkload exposes one workload to the simulated beam, using up to
-// cfg.Workers parallel workbenches (one component chain at a time each).
-func RunWorkload(cfg Config, spec bench.Spec, progress Progress) (*WorkloadResult, error) {
-	cfg = cfg.withDefaults()
-	pool := sched.NewPool(cfg.Workers - 1)
-	cfg.Obs.ObservePool(pool)
-	res, _, err := runWorkload(cfg, spec, pool, newEmitter(progress, cfg.Obs))
-	return res, err
-}
-
-// prepareWorkload builds the workload's workbench and the deterministic
-// per-workload skeleton of its result (slack probe, fluence, execution
-// budget, stratification size) — the setup shared by the in-process
-// engine and the campaign-service shard runner, so a chain executed on a
-// remote node starts from the identical state.
-func prepareWorkload(cfg Config, spec bench.Spec) (*harness.Workbench, *WorkloadResult, int, error) {
+// prepare builds the workload's workbench and its deterministic meta
+// (slack probe, fluence, execution budget, stratification size) — the
+// setup shared by the in-process engine and the shard runner, so a chain
+// executed on a remote node starts from the identical state.
+func prepare(cfg Config, spec bench.Spec) (*harness.Workbench, ShardMeta, error) {
 	wb, err := harness.Build(cfg.Preset, cfg.Model, spec, cfg.Scale)
 	if err != nil {
-		return nil, nil, 0, fmt.Errorf("beam: %w", err)
+		return nil, ShardMeta{}, fmt.Errorf("beam: %w", err)
 	}
 	m := wb.Machine
 
@@ -526,81 +503,41 @@ func prepareWorkload(cfg Config, spec bench.Spec) (*harness.Workbench, *Workload
 		// Captured warm (the chains' restore mode) and only after the slack
 		// probe above, which must see the state the cold golden run left.
 		if err := wb.BuildLadder(cfg.CheckpointEvery, cfg.MaxCheckpoints, true); err != nil {
-			return nil, nil, 0, fmt.Errorf("beam: %w", err)
+			return nil, ShardMeta{}, fmt.Errorf("beam: %w", err)
 		}
 	}
 
-	res := &WorkloadResult{
-		Workload:      spec.Name,
-		Scale:         cfg.Scale,
-		GoldenCycles:  wb.Golden.Cycles,
-		Events:        make(map[fault.Class]float64, fault.NumClasses),
-		ModeledEvents: make(map[fault.Class]float64, fault.NumClasses),
-		StrikeCounts:  make(map[fault.Class]int, fault.NumClasses),
-		CacheSlack:    slack,
+	meta := ShardMeta{
+		GoldenCycles: wb.Golden.Cycles,
+		ExecSeconds:  float64(wb.Golden.Cycles) / cfg.ClockHz,
+		CacheSlack:   slack,
 	}
-	res.ExecSeconds = float64(wb.Golden.Cycles) / cfg.ClockHz
 	beamSeconds := cfg.BeamHours * 3600
-	res.Executions = beamSeconds / res.ExecSeconds
-	res.Fluence = cfg.Flux * beamSeconds
+	meta.Executions = beamSeconds / meta.ExecSeconds
+	meta.Fluence = cfg.Flux * beamSeconds
 
 	// Stratified Monte Carlo over the modeled arrays: simulate an equal
 	// number of strikes per component; each contributes its component's
 	// expected physical strike count divided by the sample size. Quiet
 	// executions are accounted analytically through the fluence.
-	perComp := cfg.StrikesPerComponent
-	if perComp <= 0 {
-		totalBits := fault.TotalBits(m)
-		expect := res.Fluence * float64(totalBits) * cfg.BitXS
-		perComp = int(expect/float64(fault.NumComponents)) + 1
-		if perComp < 30 {
-			perComp = 30
-		}
-		if perComp > 120 {
-			perComp = 120
-		}
+	meta.PerComp = cfg.StrikesPerComponent
+	if meta.PerComp <= 0 {
+		expect := meta.Fluence * float64(fault.TotalBits(m)) * cfg.BitXS
+		meta.PerComp = min(max(int(expect/float64(fault.NumComponents))+1, 30), 120)
 	}
-	return wb, res, perComp, nil
+	return wb, meta, nil
 }
 
-// finishWorkload merges the component chains — always in component order
-// with a fixed class order, so the floating-point accumulation is
-// identical at every worker count and across in-process vs. sharded
-// execution — and applies the platform overlay.
-func finishWorkload(cfg Config, res *WorkloadResult, partial []chainResult) {
-	for _, pr := range partial {
-		res.SimulatedStrikes += pr.sims
-		res.MaskedStrikes += pr.masked
-		res.TotalMismatches += pr.totalMismatches
-		res.WeightedMismatches += pr.weightedMismatches
-		for _, cls := range fault.Classes() {
-			if v, ok := pr.events[cls]; ok {
-				res.Events[cls] += v
-				res.ModeledEvents[cls] += v
-			}
-			if n := pr.counts[int(cls)-1]; n > 0 {
-				res.StrikeCounts[cls] += n
-			}
-		}
-	}
-
-	// Platform overlay: strikes into unmodelled board structures. The
-	// overlay costs nothing to evaluate, so it contributes its expected
-	// event count directly; the Monte-Carlo variance stays where the
-	// simulation is (the modeled strikes).
-	res.Events[fault.ClassSysCrash] += res.Fluence * cfg.Platform.SysCrash
-	res.Events[fault.ClassAppCrash] += res.Fluence * cfg.Platform.AppCrash
-	res.Events[fault.ClassAppCrash] += res.Fluence * cfg.Platform.Checker * res.CacheSlack
-}
-
-func runWorkload(cfg Config, spec bench.Spec, pool *sched.Pool, em *emitter) (*WorkloadResult, *StopSummary, error) {
-	wb, res, perComp, err := prepareWorkload(cfg, spec)
+// runWorkload prepares the workload and runs its component chains across
+// the primary workbench plus as many clones as the pool grants, returning
+// the chain outcomes in component order for assemble.
+func runWorkload(cfg Config, spec bench.Spec, pool *sched.Pool, em *emitter) (ShardMeta, []*ChainOutcome, error) {
+	wb, meta, err := prepare(cfg, spec)
 	if err != nil {
-		return nil, nil, err
+		return meta, nil, err
 	}
 	comps := fault.Components()
-	totalSims := perComp * len(comps)
-	em.addTotal(totalSims)
+	em.addTotal(meta.PerComp * len(comps))
 
 	// One estimator registry per workload run, shared by its chains (the
 	// registry locks internally); nil without a rule or an observer.
@@ -610,12 +547,8 @@ func runWorkload(cfg Config, spec bench.Spec, pool *sched.Pool, em *emitter) (*W
 		conv = obs.NewConvRegistry(rule)
 	}
 
-	// Shard the component chains across the primary workbench plus as many
-	// clones as the pool grants; chains are claimed off an atomic cursor.
-	extras := cfg.Workers - 1
-	if extras > len(comps)-1 {
-		extras = len(comps) - 1
-	}
+	// Chains are claimed off an atomic cursor.
+	extras := min(cfg.Workers-1, len(comps)-1)
 	var clones []*harness.Workbench
 	for len(clones) < extras {
 		ok := pool.TryAcquire()
@@ -629,11 +562,11 @@ func runWorkload(cfg Config, spec bench.Spec, pool *sched.Pool, em *emitter) (*W
 			for range clones {
 				pool.Release()
 			}
-			return nil, nil, fmt.Errorf("beam: %w", err)
+			return meta, nil, fmt.Errorf("beam: %w", err)
 		}
 		clones = append(clones, clone)
 	}
-	partial := make([]chainResult, len(comps))
+	chains := make([]*ChainOutcome, len(comps))
 	var cursor int64
 	drain := func(worker int, w *harness.Workbench) {
 		em.workerStarted()
@@ -643,7 +576,7 @@ func runWorkload(cfg Config, spec bench.Spec, pool *sched.Pool, em *emitter) (*W
 			if ci >= int64(len(comps)) {
 				return
 			}
-			partial[ci] = runChain(cfg, w, spec, comps[ci], perComp, res.Fluence, conv, em, totalSims, worker, obs.TraceContext{})
+			chains[ci] = runChain(cfg, w, spec, comps[ci], meta, conv, em, worker, obs.TraceContext{})
 		}
 	}
 	var wg sync.WaitGroup
@@ -657,29 +590,22 @@ func runWorkload(cfg Config, spec bench.Spec, pool *sched.Pool, em *emitter) (*W
 	}
 	drain(0, wb)
 	wg.Wait()
-
-	finishWorkload(cfg, res, partial)
 	cfg.Obs.Convergence(conv.Snapshots(), obs.TraceContext{})
+	return meta, chains, nil
+}
 
-	var stop *StopSummary
-	if rule.Enabled() {
-		stop = &StopSummary{TargetMargin: cfg.TargetMargin, Confidence: cfg.Confidence, Shadow: cfg.Verify}
-		for ci, pr := range partial {
-			stop.Chains = append(stop.Chains, StopChain{
-				Workload: spec.Name,
-				Comp:     comps[ci],
-				Planned:  pr.planned,
-				Executed: pr.sims,
-				Looks:    pr.looks,
-				Margin:   pr.margin,
-				Stopped:  pr.stopped,
-			})
-			stop.Planned += pr.planned
-			stop.Executed += pr.sims
-		}
-		stop.Saved = stop.Planned - stop.Executed
+// RunWorkload exposes one workload to the simulated beam, using up to
+// cfg.Workers parallel workbenches (one component chain at a time each).
+func RunWorkload(cfg Config, spec bench.Spec, progress Progress) (*WorkloadResult, error) {
+	cfg = cfg.withDefaults()
+	pool := sched.NewPool(cfg.Workers - 1)
+	cfg.Obs.ObservePool(pool)
+	meta, chains, err := runWorkload(cfg, spec, pool, newEmitter(progress, cfg.Obs))
+	if err != nil {
+		return nil, err
 	}
-	return res, stop, nil
+	res, _, err := assemble(cfg, spec.Name, meta, chains)
+	return res, err
 }
 
 // Run exposes a set of workloads to the beam. Workloads run concurrently,
@@ -690,36 +616,31 @@ func Run(cfg Config, specs []bench.Spec, progress Progress) (*Result, error) {
 	pool := sched.NewPool(cfg.Workers)
 	cfg.Obs.ObservePool(pool)
 	em := newEmitter(progress, cfg.Obs)
-	results := make([]*WorkloadResult, len(specs))
-	stops := make([]*StopSummary, len(specs))
+	names := make([]string, len(specs))
+	metas := make([]ShardMeta, len(specs))
+	chains := make([][]*ChainOutcome, len(specs))
 	errs := make([]error, len(specs))
 	var wg sync.WaitGroup
 	for i, spec := range specs {
+		// Primary worker slots are taken in spec order, so at Workers 1
+		// the workloads run strictly one after another and the trace is
+		// reproducible.
+		pool.Acquire()
 		wg.Add(1)
 		go func(i int, spec bench.Spec) {
 			defer wg.Done()
-			pool.Acquire() // the workload's primary worker slot
 			defer pool.Release()
-			results[i], stops[i], errs[i] = runWorkload(cfg, spec, pool, em)
+			metas[i], chains[i], errs[i] = runWorkload(cfg, spec, pool, em)
 		}(i, spec)
+		names[i] = spec.Name
 	}
 	wg.Wait()
-	res := &Result{Config: cfg}
-	for i := range specs {
-		if errs[i] != nil {
-			return nil, errs[i]
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
 		}
-		res.Workloads = append(res.Workloads, *results[i])
 	}
-	// The stop summary merges in spec order, outside Workloads.
-	if cfg.TargetMargin > 0 {
-		total := &StopSummary{}
-		for _, s := range stops {
-			total.merge(s)
-		}
-		res.Stop = total
-	}
-	return res, nil
+	return AssembleResult(cfg, names, metas, chains)
 }
 
 // emitter adapts the shared meter to beam progress events, adding the

@@ -2,9 +2,10 @@
 // the component-chain boundary. Each chain is a self-contained live-board
 // session — its own RNG stream seeded from (campaign seed, workload,
 // component), starting from a fresh steady state — so chains can execute
-// on different machines without changing any chain's physics, and the
-// merged WorkloadResult is bit-identical to an uninterrupted in-process
-// run at any node count or interruption pattern.
+// on different machines without changing any chain's physics. In-process
+// and sharded runs share prepare, runChain and assemble, so the merged
+// WorkloadResult is bit-identical to an uninterrupted in-process run at
+// any node count or interruption pattern.
 
 package beam
 
@@ -22,23 +23,25 @@ import (
 // order.
 const ShardsPerWorkload = fault.NumComponents
 
-// ChainOutcome is the wire record of one executed component chain. It
-// round-trips through JSON losslessly (Go prints float64s with exact
-// round-trip precision), so chain results can cross node boundaries
-// without perturbing the bit-identical merge.
+// ChainOutcome is the record of one executed component chain, in-process
+// and on the wire alike. It round-trips through JSON losslessly (Go
+// prints float64s with exact round-trip precision), so chain results can
+// cross node boundaries without perturbing the bit-identical merge.
 type ChainOutcome struct {
 	Events             map[fault.Class]float64 `json:"events"`
 	Masked             int                     `json:"masked"`
 	Sims               int                     `json:"sims"`
 	TotalMismatches    uint64                  `json:"total_mismatches,omitempty"`
 	WeightedMismatches float64                 `json:"weighted_mismatches,omitempty"`
-	// Counts tallies the chain's strikes by final class (raw, unweighted);
-	// Planned and Stopped report the sequential stopping rule's verdict
-	// when the campaign set a target margin (Sims is then the truncated
-	// strike count).
+	// Counts tallies the chain's strikes by final class (raw, unweighted;
+	// Sims is their sum). Planned, Stopped, Looks and Margin report the
+	// sequential stopping rule's verdict when the campaign set a target
+	// margin (Sims is then the truncated strike count).
 	Counts  map[fault.Class]int `json:"counts,omitempty"`
 	Planned int                 `json:"planned,omitempty"`
 	Stopped bool                `json:"stopped,omitempty"`
+	Looks   int                 `json:"looks,omitempty"`
+	Margin  float64             `json:"margin,omitempty"`
 }
 
 // ShardMeta carries the deterministic per-workload constants the
@@ -71,9 +74,8 @@ type ShardRunner struct {
 }
 
 type shardBench struct {
-	wb      *harness.Workbench
-	res     *WorkloadResult // skeleton: deterministic per-workload constants
-	perComp int
+	wb   *harness.Workbench
+	meta ShardMeta
 }
 
 // NewShardRunner builds a runner for the campaign Config, normalised
@@ -82,80 +84,36 @@ func NewShardRunner(cfg Config) *ShardRunner {
 	return &ShardRunner{cfg: cfg.withDefaults(), benches: make(map[string]*shardBench)}
 }
 
-func (r *ShardRunner) bench(spec bench.Spec) (*shardBench, error) {
-	if b, ok := r.benches[spec.Name]; ok {
-		return b, nil
-	}
-	wb, res, perComp, err := prepareWorkload(r.cfg, spec)
-	if err != nil {
-		return nil, err
-	}
-	b := &shardBench{wb: wb, res: res, perComp: perComp}
-	r.benches[spec.Name] = b
-	return b, nil
-}
-
 // RunShard executes the workload's strike chain for component index comp
 // (into fault.Components() order) and returns its outcome plus the
 // workload meta. The first shard of a workload pays the workbench setup;
 // later shards reuse it.
 func (r *ShardRunner) RunShard(spec bench.Spec, comp int) (*ChainOutcome, ShardMeta, error) {
-	b, err := r.bench(spec)
-	if err != nil {
-		return nil, ShardMeta{}, err
+	b, ok := r.benches[spec.Name]
+	if !ok {
+		wb, meta, err := prepare(r.cfg, spec)
+		if err != nil {
+			return nil, ShardMeta{}, err
+		}
+		b = &shardBench{wb: wb, meta: meta}
+		r.benches[spec.Name] = b
 	}
 	comps := fault.Components()
 	if comp < 0 || comp >= len(comps) {
 		return nil, ShardMeta{}, fmt.Errorf("beam: chain shard %d out of component range [0,%d)", comp, len(comps))
 	}
-	pr := runChain(r.cfg, b.wb, spec, comps[comp], b.perComp, b.res.Fluence, r.Conv, nil, 0, r.Worker, r.Ctx)
-	out := &ChainOutcome{
-		Events:             pr.events,
-		Masked:             pr.masked,
-		Sims:               pr.sims,
-		TotalMismatches:    pr.totalMismatches,
-		WeightedMismatches: pr.weightedMismatches,
-		Counts:             make(map[fault.Class]int, fault.NumClasses),
-		Planned:            pr.planned,
-		Stopped:            pr.stopped,
-	}
-	for _, cls := range fault.Classes() {
-		if n := pr.counts[int(cls)-1]; n > 0 {
-			out.Counts[cls] = n
-		}
-	}
-	return out, r.meta(b), nil
+	return runChain(r.cfg, b.wb, spec, comps[comp], b.meta, r.Conv, nil, r.Worker, r.Ctx), b.meta, nil
 }
 
-func (r *ShardRunner) meta(b *shardBench) ShardMeta {
-	return ShardMeta{
-		GoldenCycles: b.res.GoldenCycles,
-		ExecSeconds:  b.res.ExecSeconds,
-		Executions:   b.res.Executions,
-		Fluence:      b.res.Fluence,
-		CacheSlack:   b.res.CacheSlack,
-		PerComp:      b.perComp,
-	}
-}
-
-// Release drops the cached workbench of a finished workload (or all of
-// them for the empty string).
-func (r *ShardRunner) Release(workload string) {
-	if workload == "" {
-		r.benches = make(map[string]*shardBench)
-		return
-	}
-	delete(r.benches, workload)
-}
-
-// AssembleWorkload reassembles a workload result from its component-chain
-// outcomes, which must cover all components in fault.Components() order.
-// It runs the exact merge and platform overlay of the in-process engine,
-// so the result is bit-identical to an uninterrupted run.
-func AssembleWorkload(cfg Config, workload string, meta ShardMeta, chains []*ChainOutcome) (*WorkloadResult, error) {
-	cfg = cfg.withDefaults()
+// assemble is the one merge of a workload's component chains, which must
+// cover all components in fault.Components() order. It folds them in
+// that order with a fixed class order, so the floating-point
+// accumulation is identical at every worker count and across in-process
+// vs. sharded execution, then applies the platform overlay. With a
+// target margin it also returns the workload's stop summary.
+func assemble(cfg Config, workload string, meta ShardMeta, chains []*ChainOutcome) (*WorkloadResult, *StopSummary, error) {
 	if len(chains) != ShardsPerWorkload {
-		return nil, fmt.Errorf("beam: assemble %s: %d chains, want %d", workload, len(chains), ShardsPerWorkload)
+		return nil, nil, fmt.Errorf("beam: assemble %s: %d chains, want %d", workload, len(chains), ShardsPerWorkload)
 	}
 	res := &WorkloadResult{
 		Workload:      workload,
@@ -169,27 +127,82 @@ func AssembleWorkload(cfg Config, workload string, meta ShardMeta, chains []*Cha
 		ModeledEvents: make(map[fault.Class]float64, fault.NumClasses),
 		StrikeCounts:  make(map[fault.Class]int, fault.NumClasses),
 	}
-	partial := make([]chainResult, len(chains))
+	var stop *StopSummary
+	if cfg.TargetMargin > 0 {
+		stop = &StopSummary{TargetMargin: cfg.TargetMargin, Confidence: cfg.Confidence, Shadow: cfg.Verify}
+	}
+	comps := fault.Components()
 	for i, c := range chains {
 		if c == nil {
-			return nil, fmt.Errorf("beam: assemble %s: missing chain %d", workload, i)
+			return nil, nil, fmt.Errorf("beam: assemble %s: missing chain %d", workload, i)
 		}
-		partial[i] = chainResult{
-			events:             c.Events,
-			masked:             c.Masked,
-			sims:               c.Sims,
-			totalMismatches:    c.TotalMismatches,
-			weightedMismatches: c.WeightedMismatches,
-			planned:            c.Planned,
-			stopped:            c.Stopped,
-		}
+		res.SimulatedStrikes += c.Sims
+		res.MaskedStrikes += c.Masked
+		res.TotalMismatches += c.TotalMismatches
+		res.WeightedMismatches += c.WeightedMismatches
 		for _, cls := range fault.Classes() {
-			partial[i].counts[int(cls)-1] = c.Counts[cls]
+			if v, ok := c.Events[cls]; ok {
+				res.Events[cls] += v
+				res.ModeledEvents[cls] += v
+			}
+			if n := c.Counts[cls]; n > 0 {
+				res.StrikeCounts[cls] += n
+			}
 		}
-		if partial[i].events == nil {
-			partial[i].events = make(map[fault.Class]float64)
+		if stop != nil {
+			stop.Chains = append(stop.Chains, StopChain{
+				Workload: workload,
+				Comp:     comps[i],
+				Planned:  c.Planned,
+				Executed: c.Sims,
+				Looks:    c.Looks,
+				Margin:   c.Margin,
+				Stopped:  c.Stopped,
+			})
+			stop.Planned += c.Planned
+			stop.Executed += c.Sims
 		}
 	}
-	finishWorkload(cfg, res, partial)
+	if stop != nil {
+		stop.Saved = stop.Planned - stop.Executed
+	}
+
+	// Platform overlay: strikes into unmodelled board structures. The
+	// overlay costs nothing to evaluate, so it contributes its expected
+	// event count directly; the Monte-Carlo variance stays where the
+	// simulation is (the modeled strikes).
+	res.Events[fault.ClassSysCrash] += res.Fluence * cfg.Platform.SysCrash
+	res.Events[fault.ClassAppCrash] += res.Fluence * cfg.Platform.AppCrash
+	res.Events[fault.ClassAppCrash] += res.Fluence * cfg.Platform.Checker * res.CacheSlack
+	return res, stop, nil
+}
+
+// AssembleWorkload reassembles one workload result from its
+// component-chain outcomes, bit-identical to an uninterrupted run.
+func AssembleWorkload(cfg Config, workload string, meta ShardMeta, chains []*ChainOutcome) (*WorkloadResult, error) {
+	res, _, err := assemble(cfg.withDefaults(), workload, meta, chains)
+	return res, err
+}
+
+// AssembleResult builds a campaign Result from each workload's meta and
+// chain outcomes (parallel slices in workload order). Run and the
+// campaign service's assembler both end here, so a remote campaign's
+// Workloads and Stop are byte-identical to an in-process run's. The
+// Result echoes cfg as given.
+func AssembleResult(cfg Config, workloads []string, metas []ShardMeta, chains [][]*ChainOutcome) (*Result, error) {
+	dc := cfg.withDefaults()
+	res := &Result{Config: cfg}
+	if dc.TargetMargin > 0 {
+		// The stop summary merges in workload order, outside Workloads.
+		res.Stop = &StopSummary{}
+	}
+	for i, w := range workloads {
+		wr, stop, err := assemble(dc, w, metas[i], chains[i])
+		if err != nil {
+			return nil, err
+		}
+		res.Workloads = append(res.Workloads, *wr)
+		res.Stop.merge(stop)
+	}
 	return res, nil
 }

@@ -12,6 +12,8 @@
 package beam
 
 import (
+	"maps"
+
 	"armsefi/internal/core/fault"
 	"armsefi/internal/obs"
 	"armsefi/internal/stats"
@@ -81,8 +83,8 @@ type chainStop struct {
 	perComp  int
 
 	look int
-	cut  int          // strike count at the cut; -1 until the rule fires
-	snap *chainResult // chain state at the cut (shadow mode only)
+	cut  int           // strike count at the cut; -1 until the rule fires
+	snap *ChainOutcome // chain state at the cut (shadow mode only)
 }
 
 // newChainStop builds the monitor for one chain, or nil when neither
@@ -111,25 +113,25 @@ func newChainStop(cfg Config, workload string, comp fault.Component, perComp int
 }
 
 // record watches the chain after each strike (out already holds the
-// strike's class tally in counts/sims) and, at check boundaries, takes a
+// strike's class tally in Counts/Sims) and, at check boundaries, takes a
 // sequential look: evaluates the stopping rule, refreshes the
 // convergence estimators, and emits their snapshots. It returns true
 // when the chain should stop executing — the rule fired and the run is
 // not a shadow. Once the cut is set the estimators freeze, so a shadow
 // run reports exactly what a genuinely stopped run would.
-func (cs *chainStop) record(out *chainResult) bool {
+func (cs *chainStop) record(out *ChainOutcome) bool {
 	if cs == nil || cs.cut >= 0 {
 		return false
 	}
-	n := out.sims
+	n := out.Sims
 	if n%cs.every != 0 && n != cs.perComp {
 		return false
 	}
 	cs.look++
 	if cs.rule.Enabled() {
 		all := true
-		for _, k := range out.counts {
-			if !cs.rule.Met(k, n, cs.look) {
+		for _, cls := range fault.Classes() {
+			if !cs.rule.Met(out.Counts[cls], n, cs.look) {
 				all = false
 				break
 			}
@@ -144,7 +146,7 @@ func (cs *chainStop) record(out *chainResult) bool {
 	snaps := make([]obs.ConvSnapshot, 0, fault.NumClasses)
 	for _, cls := range fault.Classes() {
 		key := obs.ConvKey{Workload: cs.workload, Comp: cs.comp, Class: cls}
-		snaps = append(snaps, cs.conv.Update(key, out.counts[int(cls)-1], n, cs.perComp, cs.look, cs.cut >= 0))
+		snaps = append(snaps, cs.conv.Update(key, out.Counts[cls], n, cs.perComp, cs.look, cs.cut >= 0))
 	}
 	cs.ob.Convergence(snaps, cs.tc)
 	return cs.cut >= 0 && !cs.shadow
@@ -155,36 +157,34 @@ func (cs *chainStop) record(out *chainResult) bool {
 // truncated chain it re-weights the surviving strikes so each carries
 // expected_strikes/executed — the stratified estimator stays unbiased at
 // the reduced sample size.
-func (cs *chainStop) finishChain(out *chainResult) {
+func (cs *chainStop) finishChain(out *ChainOutcome) {
 	if cs == nil {
 		return
 	}
 	if cs.cut >= 0 && cs.shadow {
 		*out = *cs.snap
 	}
-	out.looks = cs.look
-	out.stopped = cs.cut >= 0 && cs.cut < cs.perComp
-	for _, k := range out.counts {
-		if m := cs.rule.Margin(k, out.sims); m > out.margin {
-			out.margin = m
+	out.Looks = cs.look
+	out.Stopped = cs.cut >= 0 && cs.cut < cs.perComp
+	for _, cls := range fault.Classes() {
+		if m := cs.rule.Margin(out.Counts[cls], out.Sims); m > out.Margin {
+			out.Margin = m
 		}
 	}
-	if out.stopped {
-		scale := float64(cs.perComp) / float64(out.sims)
-		for cls, v := range out.events {
-			out.events[cls] = v * scale
+	if out.Stopped {
+		scale := float64(cs.perComp) / float64(out.Sims)
+		for cls, v := range out.Events {
+			out.Events[cls] = v * scale
 		}
-		out.weightedMismatches *= scale
+		out.WeightedMismatches *= scale
 	}
 }
 
-// snapshotChain deep-copies a chain result (shadow mode captures the
+// snapshotChain deep-copies a chain outcome (shadow mode captures the
 // state at the cut while the chain keeps executing).
-func snapshotChain(out *chainResult) *chainResult {
+func snapshotChain(out *ChainOutcome) *ChainOutcome {
 	c := *out
-	c.events = make(map[fault.Class]float64, len(out.events))
-	for cls, v := range out.events {
-		c.events[cls] = v
-	}
+	c.Events = maps.Clone(out.Events)
+	c.Counts = maps.Clone(out.Counts)
 	return &c
 }

@@ -514,10 +514,13 @@ func Run(cfg Config, specs []bench.Spec, progress Progress) (*Result, error) {
 	errs := make([]error, len(specs))
 	var wg sync.WaitGroup
 	for i, spec := range specs {
+		// Primary worker slots are taken in spec order, so at Workers 1
+		// the workloads run strictly one after another and the trace is
+		// reproducible.
+		pool.Acquire()
 		wg.Add(1)
 		go func(i int, spec bench.Spec) {
 			defer wg.Done()
-			pool.Acquire() // the workload's primary worker slot
 			defer pool.Release()
 			results[i], sides[i], errs[i] = runWorkload(cfg, spec, pool, em)
 		}(i, spec)

@@ -221,3 +221,37 @@ func TestLivenessMemoryPublished(t *testing.T) {
 		}
 	}
 }
+
+// TestRunTraceSpecOrder: at Workers 1 the workloads run strictly in
+// spec order, so every trace record of workload i precedes every record
+// of workload i+1 and the trace no longer depends on goroutine
+// scheduling.
+func TestRunTraceSpecOrder(t *testing.T) {
+	names := []string{"crc32", "qsort", "matmul"}
+	specs, err := bench.Lookup(names)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	cfg := Config{FaultsPerComponent: 1, Seed: 4, Workers: 1,
+		Obs: obs.New(obs.Options{TraceWriter: &buf})}
+	if _, err := Run(cfg, specs, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := cfg.Obs.Close(); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := obs.ReadRecords(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := 0
+	for i, rec := range recs {
+		for at < len(names) && rec.Workload != names[at] {
+			at++
+		}
+		if at == len(names) {
+			t.Fatalf("record %d (%s, %s) out of spec order %v", i, rec.Kind, rec.Workload, names)
+		}
+	}
+}

@@ -158,6 +158,12 @@ func (c *Client) Cancel(id string) error {
 // WaitComplete polls until the campaign completes, is cancelled, or ctx
 // expires. It returns the final status.
 func (c *Client) WaitComplete(ctx context.Context, id string, poll time.Duration) (*CampaignStatus, error) {
+	return c.Await(ctx, id, poll, nil)
+}
+
+// Await is WaitComplete that also hands every status it reads to
+// progress (when non-nil). A non-positive poll picks 500 ms.
+func (c *Client) Await(ctx context.Context, id string, poll time.Duration, progress func(*CampaignStatus)) (*CampaignStatus, error) {
 	if poll <= 0 {
 		poll = 500 * time.Millisecond
 	}
@@ -165,6 +171,9 @@ func (c *Client) WaitComplete(ctx context.Context, id string, poll time.Duration
 		st, err := c.Status(id)
 		if err != nil {
 			return nil, err
+		}
+		if progress != nil {
+			progress(st)
 		}
 		if st.State == StateComplete || st.State == StateCancelled {
 			return st, nil

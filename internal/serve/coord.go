@@ -308,10 +308,10 @@ func BuildManifest(kind string, inj *gefin.Config, bm *beam.Config, workloads []
 	if len(workloads) == 0 {
 		return nil, fmt.Errorf("serve: a campaign needs at least one workload")
 	}
-	for _, w := range workloads {
-		if _, ok := bench.ByName(w); !ok {
-			return nil, fmt.Errorf("serve: unknown workload %q", w)
-		}
+	// A repeated workload's shards would all match its first copy at
+	// assembly.
+	if _, err := bench.Lookup(workloads); err != nil {
+		return nil, fmt.Errorf("serve: %w", err)
 	}
 	man := &Manifest{Version: StoreVersion, Kind: kind, Workloads: workloads}
 	switch kind {
@@ -815,9 +815,10 @@ func Assemble(man *Manifest, done map[int]json.RawMessage) (any, error) {
 		res.Dedup = gefin.MergeDedupSummaries(dedups)
 		return res, nil
 	case KindBeam:
-		res := &beam.Result{Config: *man.Beam}
-		for _, w := range man.Workloads {
-			chains := make([]*beam.ChainOutcome, beam.ShardsPerWorkload)
+		metas := make([]beam.ShardMeta, len(man.Workloads))
+		chains := make([][]*beam.ChainOutcome, len(man.Workloads))
+		for wi, w := range man.Workloads {
+			chains[wi] = make([]*beam.ChainOutcome, beam.ShardsPerWorkload)
 			var meta *beam.ShardMeta
 			for i, sh := range man.Shards {
 				if sh.Workload != w {
@@ -831,10 +832,10 @@ func Assemble(man *Manifest, done map[int]json.RawMessage) (any, error) {
 				if err := json.Unmarshal(raw, &p); err != nil {
 					return nil, fmt.Errorf("serve: campaign %s shard %d: %w", man.ID, i, err)
 				}
-				if sh.Lo < 0 || sh.Lo >= len(chains) {
+				if sh.Lo < 0 || sh.Lo >= beam.ShardsPerWorkload {
 					return nil, fmt.Errorf("serve: campaign %s: chain shard %d out of range", man.ID, sh.Lo)
 				}
-				chains[sh.Lo] = p.Chain
+				chains[wi][sh.Lo] = p.Chain
 				if meta == nil {
 					meta = p.BeamMeta
 				}
@@ -842,11 +843,13 @@ func Assemble(man *Manifest, done map[int]json.RawMessage) (any, error) {
 			if meta == nil {
 				return nil, fmt.Errorf("serve: campaign %s: no shards for workload %s", man.ID, w)
 			}
-			wr, err := beam.AssembleWorkload(*man.Beam, w, *meta, chains)
-			if err != nil {
-				return nil, err
-			}
-			res.Workloads = append(res.Workloads, *wr)
+			metas[wi] = *meta
+		}
+		// The same assembler beam.Run ends in: Workloads and the stop
+		// summary come out byte-identical to an in-process run.
+		res, err := beam.AssembleResult(*man.Beam, man.Workloads, metas, chains)
+		if err != nil {
+			return nil, err
 		}
 		return res, nil
 	default:

@@ -330,6 +330,9 @@ func TestBuildManifestValidation(t *testing.T) {
 	if _, err := BuildManifest(KindInjection, inj, nil, []string{"no-such"}, 0); err == nil {
 		t.Error("unknown workload accepted")
 	}
+	if _, err := BuildManifest(KindInjection, inj, nil, []string{"crc32", "crc32"}, 0); err == nil {
+		t.Error("duplicate workload accepted")
+	}
 	if _, err := BuildManifest(KindInjection, nil, nil, []string{"crc32"}, 0); err == nil {
 		t.Error("injection kind without config accepted")
 	}

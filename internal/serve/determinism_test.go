@@ -217,64 +217,85 @@ func TestDedupServiceDeterminism(t *testing.T) {
 
 // TestBeamServiceDeterminism pins the beam half end to end through the
 // coordinator: chain shards executed through the service assemble to the
-// same Workloads bytes as beam.Run.
+// same Workloads bytes as beam.Run, and with a target margin to the same
+// stop summary too.
 func TestBeamServiceDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs real beam campaigns")
 	}
-	cfg := beam.Config{Seed: 99, BeamHours: 1, StrikesPerComponent: 2, Workers: 1}
-	spec, ok := bench.ByName("crc32")
-	if !ok {
-		t.Fatal("crc32 missing")
+	arms := []struct {
+		name string
+		cfg  beam.Config
+	}{
+		{"plain", beam.Config{Seed: 99, BeamHours: 1, StrikesPerComponent: 2, Workers: 1}},
+		{"target-margin", beam.Config{Seed: 99, BeamHours: 1, StrikesPerComponent: 40, Workers: 1,
+			TargetMargin: 0.35, StopCheckEvery: 8}},
 	}
-	direct, err := beam.Run(cfg, []bench.Spec{spec}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	store, err := OpenStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	clk := newFakeClock()
-	c, err := NewCoordinator(CoordConfig{Store: store, LeaseTTL: time.Hour, Now: clk.Now})
-	if err != nil {
-		t.Fatal(err)
-	}
-	man, err := BuildManifest(KindBeam, nil, &cfg, []string{"crc32"}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	id, err := c.Submit(man)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(man.Shards) != beam.ShardsPerWorkload {
-		t.Fatalf("want %d chain shards, got %d", beam.ShardsPerWorkload, len(man.Shards))
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		for {
-			if s, err := c.Status(id); err == nil && s.State == StateComplete {
-				cancel()
-				return
+	for _, arm := range arms {
+		t.Run(arm.name, func(t *testing.T) {
+			cfg := arm.cfg
+			spec, ok := bench.ByName("crc32")
+			if !ok {
+				t.Fatal("crc32 missing")
 			}
-			time.Sleep(10 * time.Millisecond)
-		}
-	}()
-	if _, err := RunWorker(ctx, WorkerConfig{Node: "n", Source: c, PollInterval: 10 * time.Millisecond}); err != nil {
-		t.Fatal(err)
-	}
-	cancel()
+			direct, err := beam.Run(cfg, []bench.Spec{spec}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	res, err := c.Results(id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assembled := res.(*beam.Result)
-	dj, _ := json.Marshal(direct.Workloads)
-	aj, _ := json.Marshal(assembled.Workloads)
-	if string(dj) != string(aj) {
-		t.Fatalf("service beam run diverged from direct run:\n direct  %s\n service %s", dj, aj)
+			store, err := OpenStore(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			clk := newFakeClock()
+			c, err := NewCoordinator(CoordConfig{Store: store, LeaseTTL: time.Hour, Now: clk.Now})
+			if err != nil {
+				t.Fatal(err)
+			}
+			man, err := BuildManifest(KindBeam, nil, &cfg, []string{"crc32"}, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			id, err := c.Submit(man)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(man.Shards) != beam.ShardsPerWorkload {
+				t.Fatalf("want %d chain shards, got %d", beam.ShardsPerWorkload, len(man.Shards))
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			go func() {
+				for {
+					if s, err := c.Status(id); err == nil && s.State == StateComplete {
+						cancel()
+						return
+					}
+					time.Sleep(10 * time.Millisecond)
+				}
+			}()
+			if _, err := RunWorker(ctx, WorkerConfig{Node: "n", Source: c, PollInterval: 10 * time.Millisecond}); err != nil {
+				t.Fatal(err)
+			}
+			cancel()
+
+			res, err := c.Results(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assembled := res.(*beam.Result)
+			dj, _ := json.Marshal(direct.Workloads)
+			aj, _ := json.Marshal(assembled.Workloads)
+			if string(dj) != string(aj) {
+				t.Fatalf("service beam run diverged from direct run:\n direct  %s\n service %s", dj, aj)
+			}
+			ds, _ := json.Marshal(direct.Stop)
+			as, _ := json.Marshal(assembled.Stop)
+			if string(ds) != string(as) {
+				t.Fatalf("service stop summary diverged from direct run:\n direct  %s\n service %s", ds, as)
+			}
+			if cfg.TargetMargin > 0 && assembled.Stop == nil {
+				t.Fatal("service beam run carries no stop summary")
+			}
+		})
 	}
 }

@@ -1,6 +1,8 @@
 package soc
 
 import (
+	"fmt"
+
 	"armsefi/internal/asm"
 	"armsefi/internal/kernel"
 	"armsefi/internal/mem"
@@ -71,6 +73,17 @@ func (m ModelKind) String() string {
 		return "atomic"
 	}
 	return "detailed"
+}
+
+// ParseModel parses a CPU model name as the -model flags spell it.
+func ParseModel(s string) (ModelKind, error) {
+	switch s {
+	case "atomic":
+		return ModelAtomic, nil
+	case "detailed":
+		return ModelDetailed, nil
+	}
+	return 0, fmt.Errorf("unknown model %q (atomic|detailed)", s)
 }
 
 // Config describes one platform preset (Table II of the paper).
