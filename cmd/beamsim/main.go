@@ -42,6 +42,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 	hours := fs.Float64("hours", 4, "effective beam hours per workload (paper: ~20)")
 	fitRaw := fs.Bool("fitraw", false, "run the L1 FIT-raw probe measurement instead")
 	fs.Parse(args)
+	if *fitRaw && cf.Remote != "" {
+		return fmt.Errorf("-fitraw runs locally only: the campaign service executes beam campaigns, not the FIT-raw probe measurement")
+	}
 
 	specs, scale, err := cf.Resolve()
 	if err != nil {

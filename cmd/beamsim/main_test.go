@@ -53,6 +53,7 @@ func TestRunRejects(t *testing.T) {
 		{[]string{"-scale", "huge"}, `unknown scale "huge"`},
 		{[]string{"-workloads", "nosuch"}, `unknown workload "nosuch"`},
 		{[]string{"-workloads", "crc32,crc32"}, `"crc32" listed twice`},
+		{[]string{"-fitraw", "-remote", "http://127.0.0.1:1"}, "-fitraw runs locally only"},
 	} {
 		args := append(c.args, "-hours", "0.1", "-quiet")
 		err := run(args, io.Discard, io.Discard)

@@ -143,88 +143,97 @@ func (r *ShardRunner) Release(workload string) {
 	delete(r.benches, workload)
 }
 
-// ShardPruneSummary derives a workload's predicted/simulated split from
-// its assembled shard outcomes. The coordinator calls it per workload and
-// merges the results into the campaign's PruneSummary — the split never
-// rides inside WorkloadResult, which stays byte-identical with pruning on
-// or off.
-func ShardPruneSummary(outs []ShardOutcome) *PruneSummary {
-	s := &PruneSummary{ByMechanism: make(map[string]int)}
-	for _, o := range outs {
-		if o.Predicted {
-			s.Predicted++
-			s.ByMechanism[o.Mechanism]++
-		} else {
-			s.Simulated++
-		}
-	}
-	return s
-}
-
-// MergePruneSummaries folds per-workload splits into one campaign-level
-// summary (nil when the slice is empty or all nil).
-func MergePruneSummaries(parts []*PruneSummary) *PruneSummary {
-	var total *PruneSummary
-	for _, p := range parts {
-		if p == nil {
-			continue
-		}
-		if total == nil {
-			total = &PruneSummary{ByMechanism: make(map[string]int)}
-		}
-		total.merge(p)
-	}
-	return total
-}
-
-// ShardDedupSummary derives a workload's deduplicated/simulated split
-// from its assembled shard outcomes, like ShardPruneSummary. Class-count
-// statistics stay zero: shards elect local representatives, so per-shard
-// class tables do not reassemble into one global partition.
-func ShardDedupSummary(outs []ShardOutcome) *DedupSummary {
-	s := &DedupSummary{}
-	for _, o := range outs {
+// shardSummaries derives a workload's prune and dedup splits from its
+// assembled shard outcomes, counted like the in-process engine counts
+// them: predictions and materializations over the whole plan, simulations
+// only within the sequential-stopping cuts (nil: the full plan) unless
+// Verify executed the whole plan. Class-count statistics stay zero:
+// shards elect local representatives, so per-shard class tables do not
+// reassemble into one global partition. The splits never ride inside
+// WorkloadResult, which stays byte-identical with the shortcuts on or off.
+func shardSummaries(cfg Config, outs []ShardOutcome, cuts []int) (*PruneSummary, *DedupSummary) {
+	ps := &PruneSummary{ByMechanism: make(map[string]int)}
+	ds := &DedupSummary{}
+	for i, o := range outs {
+		kept := cfg.Verify || cuts == nil || i%cfg.FaultsPerComponent < cuts[i/cfg.FaultsPerComponent]
 		switch {
+		case o.Predicted:
+			ps.Predicted++
+			ps.ByMechanism[o.Mechanism]++
 		case o.Dedup:
-			s.Deduped++
-		case !o.Predicted:
-			s.Simulated++
+			ds.Deduped++
+			if kept {
+				ps.Simulated++
+			}
+		case kept:
+			ps.Simulated++
+			ds.Simulated++
 		}
 	}
-	return s
+	return ps, ds
 }
 
-// MergeDedupSummaries folds per-workload splits into one campaign-level
-// summary (nil when the slice is empty or all nil).
-func MergeDedupSummaries(parts []*DedupSummary) *DedupSummary {
-	var total *DedupSummary
-	for _, p := range parts {
-		if p == nil {
-			continue
-		}
-		if total == nil {
-			total = &DedupSummary{}
-		}
-		total.merge(p)
-	}
-	return total
-}
-
-// AssembleWorkload reassembles a workload result from per-slot shard
-// outcomes covering the full plan, in plan order. It runs the exact
-// aggregation of the in-process engine, so the result is bit-identical
-// to an uninterrupted run of the same Config and seed.
-func AssembleWorkload(cfg Config, workload string, meta ShardMeta, outs []ShardOutcome) (*WorkloadResult, error) {
-	cfg = cfg.withDefaults()
+// assemble reassembles one workload from per-slot shard outcomes covering
+// the full plan, in plan order. With a target margin set it replays the
+// stop controller over the outcomes — the cuts are a pure function of the
+// plan-order prefix — and aggregates within the cuts, returning them and
+// the workload's stop summary too.
+func assemble(cfg Config, workload string, meta ShardMeta, outs []ShardOutcome) (*WorkloadResult, []int, *StopSummary, error) {
 	if want := len(cfg.Components) * cfg.FaultsPerComponent; len(outs) != want {
-		return nil, fmt.Errorf("gefin: assemble %s: %d outcomes, want %d", workload, len(outs), want)
+		return nil, nil, nil, fmt.Errorf("gefin: assemble %s: %d outcomes, want %d", workload, len(outs), want)
 	}
 	if len(meta.SizeBits) != len(cfg.Components) {
-		return nil, fmt.Errorf("gefin: assemble %s: %d component sizes, want %d", workload, len(meta.SizeBits), len(cfg.Components))
+		return nil, nil, nil, fmt.Errorf("gefin: assemble %s: %d component sizes, want %d", workload, len(meta.SizeBits), len(cfg.Components))
 	}
 	outcomes := make([]outcome, len(outs))
 	for i, o := range outs {
 		outcomes[i] = outcome{class: o.Class, valid: o.Valid, kernel: o.Kernel}
 	}
-	return aggregate(cfg, workload, meta.GoldenCycles, meta.GoldenInstrs, meta.SizeBits, outcomes, nil), nil
+	cfg.Obs = nil // the replay is bookkeeping, not a second campaign to observe
+	sc := newStopController(cfg, workload, len(outs), obs.TraceContext{})
+	for i, o := range outs {
+		sc.commit(i, o.Class)
+	}
+	cuts := sc.cuts()
+	wr := aggregate(cfg, workload, meta.GoldenCycles, meta.GoldenInstrs, meta.SizeBits, outcomes, cuts)
+	return wr, cuts, sc.finish(), nil
+}
+
+// AssembleResult builds a campaign Result from each workload's meta and
+// plan-order shard outcomes (parallel slices in workload order) — the
+// campaign service's assembler. It runs the exact aggregation of the
+// in-process engine, stopping rule included, so Workloads and Stop are
+// byte-identical to an uninterrupted run of the same Config and seed; the
+// prune and dedup splits merge in workload order beside them, as Run
+// merges its own. The Result echoes cfg as given.
+func AssembleResult(cfg Config, workloads []string, metas []ShardMeta, outs [][]ShardOutcome) (*Result, error) {
+	dc := cfg.withDefaults()
+	res := &Result{Config: cfg}
+	if dc.Prune {
+		res.Prune = &PruneSummary{ByMechanism: make(map[string]int)}
+	}
+	if dc.Dedup {
+		res.Dedup = &DedupSummary{}
+	}
+	if dc.TargetMargin > 0 {
+		res.Stop = &StopSummary{}
+	}
+	for i, w := range workloads {
+		wr, cuts, stop, err := assemble(dc, w, metas[i], outs[i])
+		if err != nil {
+			return nil, err
+		}
+		res.Workloads = append(res.Workloads, *wr)
+		ps, ds := shardSummaries(dc, outs[i], cuts)
+		if res.Prune != nil {
+			res.Prune.merge(ps)
+		}
+		if res.Dedup != nil {
+			res.Dedup.merge(ds)
+		}
+		if res.Stop != nil {
+			res.Stop.merge(stop)
+		}
+	}
+	return res, nil
 }

@@ -102,14 +102,14 @@ func checkShardAssembly(t *testing.T, arms ...shardArm) {
 			{"odd", odd},
 		} {
 			outs, meta := runShards(t, cfg, spec, geo.cuts)
-			res, err := AssembleWorkload(cfg, spec.Name, meta, outs)
+			full, err := AssembleResult(cfg, []string{spec.Name}, []ShardMeta{meta}, [][]ShardOutcome{outs})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := mustJSON(t, res); string(got) != string(ref) {
+			if got := mustJSON(t, full.Workloads[0]); string(got) != string(ref) {
 				t.Fatalf("%s %s: assembled result diverges from the in-process run:\n in-process %s\n assembled  %s", arm.name, geo.name, ref, got)
 			}
-			ps, ds := ShardPruneSummary(outs), ShardDedupSummary(outs)
+			ps, ds := shardSummaries(cfg.withDefaults(), outs, nil)
 			if ps.Predicted+ps.Simulated != n || ds.Deduped+ds.Simulated+ps.Predicted != n {
 				t.Fatalf("%s %s: wire split %+v / %+v over plan %d", arm.name, geo.name, ps, ds, n)
 			}
@@ -119,11 +119,10 @@ func checkShardAssembly(t *testing.T, arms ...shardArm) {
 			if !arm.dedup && ds.Deduped > 0 {
 				t.Fatalf("%s %s: %d slots deduped with dedup off", arm.name, geo.name, ds.Deduped)
 			}
-			if total := MergePruneSummaries([]*PruneSummary{ps, nil}); total.Predicted != ps.Predicted {
-				t.Fatalf("merge dropped predictions: %d vs %d", total.Predicted, ps.Predicted)
-			}
-			if total := MergeDedupSummaries([]*DedupSummary{ds, nil}); total.Deduped != ds.Deduped {
-				t.Fatalf("merge dropped materializations: %d vs %d", total.Deduped, ds.Deduped)
+			if (full.Prune != nil) != arm.prune || (full.Dedup != nil) != arm.dedup ||
+				(arm.prune && full.Prune.Predicted != ps.Predicted) || (arm.dedup && full.Dedup.Deduped != ds.Deduped) {
+				t.Fatalf("%s %s: AssembleResult splits %+v / %+v, shard outcomes %+v / %+v",
+					arm.name, geo.name, full.Prune, full.Dedup, ps, ds)
 			}
 			if geo.name != "whole" {
 				continue
@@ -188,11 +187,15 @@ func TestShardRunnerBounds(t *testing.T) {
 func TestAssembleValidation(t *testing.T) {
 	cfg := Config{FaultsPerComponent: 2, Seed: 1, Components: []fault.Component{fault.CompRegFile}}
 	meta := ShardMeta{GoldenCycles: 10, SizeBits: []uint64{1024}}
-	if _, err := AssembleWorkload(cfg, "x", meta, make([]ShardOutcome, 1)); err == nil {
+	assemble := func(outs []ShardOutcome) error {
+		_, err := AssembleResult(cfg, []string{"x"}, []ShardMeta{meta}, [][]ShardOutcome{outs})
+		return err
+	}
+	if assemble(make([]ShardOutcome, 1)) == nil {
 		t.Error("short outcome set accepted")
 	}
 	meta.SizeBits = nil
-	if _, err := AssembleWorkload(cfg, "x", meta, make([]ShardOutcome, 2)); err == nil {
+	if assemble(make([]ShardOutcome, 2)) == nil {
 		t.Error("missing sizes accepted")
 	}
 }

@@ -124,3 +124,35 @@ func TestCloneSharesLadder(t *testing.T) {
 		t.Fatalf("clone ladder run diverged: %v vs %v", cls, ccls)
 	}
 }
+
+// TestLadderPrivatePagesSteadyState runs 50 ladder injections on one
+// workbench whose small caches write back to DRAM: five faults, each run
+// ten times. Every checkpoint restore hands the pages the previous run
+// wrote back to the DRAM's free list, where the next run takes its pages
+// from, so the count of private pages the DRAM holds stops growing after
+// the first round.
+func TestLadderPrivatePagesSteadyState(t *testing.T) {
+	cfg := soc.PresetModel()
+	cfg.Mem.L1D.SizeBytes = 1 << 10
+	cfg.Mem.L2.SizeBytes = 2 << 10
+	wb, err := New(cfg, soc.ModelDetailed, newBench(t, "fft"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := wb.BuildLadder(0, 0, false); err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(3))
+	faults := make([]fault.Fault, 5)
+	for i := range faults {
+		faults[i] = sampleFault(rng, wb.Machine, fault.Components(), wb.Golden.Cycles)
+	}
+	var counts []int
+	for i := 0; i < 50; i++ {
+		wb.RunFaultLadder(faults[i%len(faults)], false)
+		counts = append(counts, wb.Machine.DRAM.PrivatePages())
+	}
+	if counts[4] == 0 || counts[49] != counts[4] {
+		t.Fatalf("private pages per run: %v; want a nonzero count that stops growing after run 5", counts)
+	}
+}

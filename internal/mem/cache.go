@@ -594,9 +594,8 @@ func (c *Cache) SaveState() *CacheState { return c.SaveStateAgainst(nil) }
 // SaveStateAgainst captures the cache content like SaveState, but every
 // set whose ways all equal the same set of prev — valid, dirty, tag, LRU
 // stamp and data bytes — is shared with prev instead of copied:
-// byte-verified interning, as PageImage does for DRAM pages, with no
-// dirty-set tracking in the access path. prev must come from a cache of
-// the same geometry; nil copies every set.
+// byte-verified interning with no dirty-set tracking in the access path.
+// prev must come from a cache of the same geometry; nil copies every set.
 func (c *Cache) SaveStateAgainst(prev *CacheState) *CacheState {
 	st := &CacheState{tick: c.tick, stats: c.stats}
 	st.lines = make([][]cacheLine, len(c.lines))
@@ -700,11 +699,11 @@ func (st *CacheState) MemoryBytes() int { return st.owned }
 // was saved against instead of copying.
 func (st *CacheState) SharedBytes() int { return st.shared }
 
-// FlushInto overlays every valid dirty line onto a raw physical-memory
-// image without disturbing cache state. Machine snapshots use it to build a
-// coherent DRAM image while the caches keep their (possibly dirty)
-// content.
-func (c *Cache) FlushInto(dst []byte) {
+// FlushInto overlays every valid dirty line onto dst without disturbing
+// cache state or raising probe events. Machine snapshots use it to build a
+// coherent DRAM image in a copy-on-write clone while the caches keep their
+// (possibly dirty) content.
+func (c *Cache) FlushInto(dst *DRAM) {
 	for s := range c.lines {
 		for w := range c.lines[s] {
 			ln := &c.lines[s][w]
@@ -712,8 +711,8 @@ func (c *Cache) FlushInto(dst []byte) {
 				continue
 			}
 			addr := c.lineAddr(ln.tag, uint32(s))
-			if int(addr)+len(ln.data) <= len(dst) {
-				copy(dst[addr:], ln.data)
+			if dst.Contains(addr, uint32(len(ln.data))) {
+				dst.write(addr, ln.data)
 			}
 		}
 	}

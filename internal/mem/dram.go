@@ -12,28 +12,59 @@ package mem
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
+	"slices"
 )
 
-// DRAM is the flat physical memory backing the cache hierarchy. On the
+// PageBytes is the DRAM page size (4 KiB): the granule of copy-on-write
+// sharing between machines, snapshots and ladder rungs, and of the
+// per-page fingerprints the ladder's convergence check compares.
+const PageBytes = 1 << pageShift
+
+const pageShift = 12
+
+// A page's bytes past the end of a DRAM whose size is not page-aligned
+// stay zero: every write is bounds-checked. Pages are fingerprinted whole.
+type page [PageBytes]byte
+
+// zeroPage backs every page no one has written. It is never written.
+var zeroPage = new(page)
+
+// chunkPages is the span of one frozen page-table chunk, matching one
+// word of the private-page bitmap.
+const chunkPages = 64
+
+// chunk is a frozen span of an image's page table with the fingerprint of
+// every page. Images share the chunks in which no page was written
+// between their freezes.
+type chunk struct {
+	pages [chunkPages]*page
+	hash  [chunkPages]uint64
+}
+
+// DRAM is the physical memory backing the cache hierarchy. On the
 // physical test board the DDR sits outside the irradiated chip area, so DRAM
 // bits are never fault-injection targets — matching the paper's beam spot,
 // which covered the SoC but not the on-board DDR.
+//
+// Memory is a table of 4 KiB pages. A page is either private to this DRAM
+// (written since it was last frozen or restored) or shared: the all-zero
+// page or a frozen page that images, and other DRAMs, may hold too. The
+// first write to a shared page copies it into a private one taken from the
+// DRAM's free list, so repeated restore-and-run cycles allocate nothing
+// once the list has grown to a run's working set.
 type DRAM struct {
-	data []byte
-
-	// Dirty-page tracking for RestoreDelta: once a restore establishes a
-	// tracked base image, every write marks its 4 KiB pages, and the next
-	// restore against the same base copies back only the marked pages
-	// instead of the whole image. trackedBase identifies the base by its
-	// backing array; nil means no tracking is active.
-	dirty       []uint64
-	trackedBase *byte
-
-	// lastImg is the copy-on-write page image last applied by RestorePages.
-	// While set, the tracking invariant generalises to: every page not
-	// marked dirty equals lastImg's payload for that page, or the base page
-	// where lastImg carries none. RestoreDelta reverts to plain tracking.
-	lastImg *PageImage
+	size  uint32
+	pages []*page
+	// hash holds each shared page's fingerprint; entries of private pages
+	// are stale until the page is frozen.
+	hash []uint64
+	// own is the bitmap of private pages, one word per chunk span.
+	own []uint64
+	// chunks holds, per chunk span without private pages, the frozen
+	// chunk its pages and hashes equal (nil when there is none).
+	chunks []*chunk
+	free   []*page
 
 	// Propagation provenance taint: the byte a dirty writeback deposited
 	// corruption into. DRAM is never a fault target itself (it sits
@@ -42,33 +73,89 @@ type DRAM struct {
 	taintAddr  uint32
 }
 
-// pageShift is the dirty-tracking granule (4 KiB pages).
-const pageShift = 12
-
-// markDirty records that [addr, addr+n) has been written. A no-op until
-// RestoreDelta starts tracking; every DRAM mutation path must call it.
-func (d *DRAM) markDirty(addr, n uint32) {
-	if d.trackedBase == nil || n == 0 {
-		return
-	}
-	for p := addr >> pageShift; p <= (addr+n-1)>>pageShift; p++ {
-		d.dirty[p>>6] |= 1 << (p & 63)
-	}
+// Image is an immutable DRAM content: a page table whose pages are never
+// written again, with every page's fingerprint computed when it was
+// frozen. Images are safe to share between machines on any goroutine.
+type Image struct {
+	size   uint32
+	chunks []*chunk
 }
 
-// NewDRAM allocates a physical memory of the given size in bytes.
+// numPages returns the page count of a memory of size bytes.
+func numPages(size uint32) int { return int((uint64(size) + PageBytes - 1) >> pageShift) }
+
+// page returns page p of the image.
+func (img *Image) page(p int) *page { return img.chunks[p/chunkPages].pages[p%chunkPages] }
+
+// pageHash fingerprints one page with a fresh hasher state.
+func pageHash(pg *page) uint64 {
+	h := Hasher{h: fnvOffset}
+	h.Bytes(pg[:])
+	return h.Sum()
+}
+
+var zeroHash = pageHash(zeroPage)
+
+// NewDRAM returns an all-zero physical memory of the given size in bytes.
 func NewDRAM(size uint32) *DRAM {
-	return &DRAM{data: make([]byte, size)}
+	n := numPages(size)
+	nc := (n + chunkPages - 1) / chunkPages
+	d := &DRAM{
+		size:   size,
+		pages:  make([]*page, n),
+		hash:   make([]uint64, n),
+		own:    make([]uint64, nc),
+		chunks: make([]*chunk, nc),
+	}
+	for p := range d.pages {
+		d.pages[p] = zeroPage
+		d.hash[p] = zeroHash
+	}
+	return d
 }
 
 // Size returns the memory size in bytes.
-func (d *DRAM) Size() uint32 { return uint32(len(d.data)) }
+func (d *DRAM) Size() uint32 { return d.size }
 
 // Contains reports whether the physical address range [addr, addr+n) is
 // inside the DRAM.
 func (d *DRAM) Contains(addr, n uint32) bool {
-	end := uint64(addr) + uint64(n)
-	return end <= uint64(len(d.data))
+	return uint64(addr)+uint64(n) <= uint64(d.size)
+}
+
+func (d *DRAM) owned(p int) bool { return d.own[p/chunkPages]&(1<<(p%chunkPages)) != 0 }
+
+// writable returns page p ready for writing, first copying a shared page
+// into a private one.
+func (d *DRAM) writable(p int) *page {
+	if !d.owned(p) {
+		var np *page
+		if n := len(d.free); n > 0 {
+			np, d.free = d.free[n-1], d.free[:n-1]
+		} else {
+			np = new(page)
+		}
+		*np = *d.pages[p]
+		d.pages[p] = np
+		d.own[p/chunkPages] |= 1 << (p % chunkPages)
+	}
+	return d.pages[p]
+}
+
+// read copies memory at addr into b; the range must be in bounds.
+func (d *DRAM) read(addr uint32, b []byte) {
+	for len(b) > 0 {
+		n := copy(b, d.pages[addr>>pageShift][addr&(PageBytes-1):])
+		b, addr = b[n:], addr+uint32(n)
+	}
+}
+
+// write copies b into memory at addr; the range must be in bounds.
+func (d *DRAM) write(addr uint32, b []byte) {
+	for len(b) > 0 {
+		n := copy(d.writable(int(addr >> pageShift))[addr&(PageBytes-1):], b)
+		b, addr = b[n:], addr+uint32(n)
+	}
 }
 
 // ReadLine copies an aligned line into buf. It reports false if the range
@@ -77,7 +164,7 @@ func (d *DRAM) ReadLine(addr uint32, buf []byte) bool {
 	if !d.Contains(addr, uint32(len(buf))) {
 		return false
 	}
-	copy(buf, d.data[addr:])
+	d.read(addr, buf)
 	if d.taintProbe != nil && d.taintOverlaps(addr, uint32(len(buf))) {
 		// A refill consumed the corrupted byte back into the hierarchy.
 		d.taintProbe.NoteRead("dram")
@@ -90,18 +177,22 @@ func (d *DRAM) taintOverlaps(addr, n uint32) bool {
 	return addr <= d.taintAddr && uint64(d.taintAddr) < uint64(addr)+uint64(n)
 }
 
+// overwritten ends a taint that a store over [addr, addr+n) replaced.
+func (d *DRAM) overwritten(addr, n uint32) {
+	if d.taintProbe != nil && d.taintOverlaps(addr, n) {
+		d.taintProbe.NoteOverwrite("dram")
+		d.ClearTaint()
+	}
+}
+
 // WriteLine stores an aligned line from buf. It reports false if the range
 // falls outside physical memory.
 func (d *DRAM) WriteLine(addr uint32, buf []byte) bool {
 	if !d.Contains(addr, uint32(len(buf))) {
 		return false
 	}
-	copy(d.data[addr:], buf)
-	d.markDirty(addr, uint32(len(buf)))
-	if d.taintProbe != nil && d.taintOverlaps(addr, uint32(len(buf))) {
-		d.taintProbe.NoteOverwrite("dram")
-		d.ClearTaint()
-	}
+	d.write(addr, buf)
+	d.overwritten(addr, uint32(len(buf)))
 	return true
 }
 
@@ -110,14 +201,10 @@ func (d *DRAM) WriteLine(addr uint32, buf []byte) bool {
 func (d *DRAM) LoadImage(addr uint32, image []byte) error {
 	if !d.Contains(addr, uint32(len(image))) {
 		return fmt.Errorf("mem: image of %d bytes at %#x exceeds DRAM size %#x",
-			len(image), addr, len(d.data))
+			len(image), addr, d.size)
 	}
-	copy(d.data[addr:], image)
-	d.markDirty(addr, uint32(len(image)))
-	if d.taintProbe != nil && d.taintOverlaps(addr, uint32(len(image))) {
-		d.taintProbe.NoteOverwrite("dram")
-		d.ClearTaint()
-	}
+	d.write(addr, image)
+	d.overwritten(addr, uint32(len(image)))
 	return nil
 }
 
@@ -127,18 +214,18 @@ func (d *DRAM) Peek(addr uint32) uint32 {
 	if !d.Contains(addr, 4) {
 		return 0
 	}
-	return binary.LittleEndian.Uint32(d.data[addr:])
+	var b [4]byte
+	d.read(addr, b[:])
+	return binary.LittleEndian.Uint32(b[:])
 }
 
 // Poke writes a 32-bit word directly to physical memory, bypassing caches.
 func (d *DRAM) Poke(addr, val uint32) {
 	if d.Contains(addr, 4) {
-		binary.LittleEndian.PutUint32(d.data[addr:], val)
-		d.markDirty(addr, 4)
-		if d.taintProbe != nil && d.taintOverlaps(addr, 4) {
-			d.taintProbe.NoteOverwrite("dram")
-			d.ClearTaint()
-		}
+		var b [4]byte
+		binary.LittleEndian.PutUint32(b[:], val)
+		d.write(addr, b[:])
+		d.overwritten(addr, 4)
 	}
 }
 
@@ -148,20 +235,8 @@ func (d *DRAM) PeekBytes(addr, n uint32) []byte {
 		return nil
 	}
 	out := make([]byte, n)
-	copy(out, d.data[addr:])
+	d.read(addr, out)
 	return out
-}
-
-// Reset zeroes all of physical memory.
-func (d *DRAM) Reset() {
-	for i := range d.data {
-		d.data[i] = 0
-	}
-	d.markDirty(0, uint32(len(d.data)))
-	if d.taintProbe != nil {
-		d.taintProbe.NoteOverwrite("dram")
-		d.ClearTaint()
-	}
 }
 
 // AbsorbTaint takes over a taint pushed out of the cache hierarchy by a
@@ -175,4 +250,187 @@ func (d *DRAM) AbsorbTaint(addr uint32, p *Probe) {
 func (d *DRAM) ClearTaint() {
 	d.taintProbe = nil
 	d.taintAddr = 0
+}
+
+// Freeze returns the DRAM's current content as an immutable image. Every
+// private page is frozen in place — fingerprinted and thereafter shared
+// between the image and the DRAM — so freezing copies no page data. A
+// page not written between two freezes is the same object in both images,
+// and a chunk span without written pages is the same chunk.
+func (d *DRAM) Freeze() *Image {
+	img := &Image{size: d.size, chunks: make([]*chunk, len(d.chunks))}
+	for c := range d.chunks {
+		if d.own[c] != 0 || d.chunks[c] == nil {
+			for w := d.own[c]; w != 0; w &= w - 1 {
+				p := c*chunkPages + bits.TrailingZeros64(w)
+				d.hash[p] = pageHash(d.pages[p])
+			}
+			d.own[c] = 0
+			ch := new(chunk)
+			copy(ch.pages[:], d.pages[c*chunkPages:])
+			copy(ch.hash[:], d.hash[c*chunkPages:])
+			d.chunks[c] = ch
+		}
+		img.chunks[c] = d.chunks[c]
+	}
+	return img
+}
+
+// Clone returns a new DRAM with the same content that shares every page
+// with d copy-on-write (d's private pages are frozen first). The clone has
+// no taint.
+func (d *DRAM) Clone() *DRAM {
+	img := d.Freeze()
+	return &DRAM{
+		size:   d.size,
+		pages:  slices.Clone(d.pages),
+		hash:   slices.Clone(d.hash),
+		own:    make([]uint64, len(d.own)),
+		chunks: img.chunks,
+	}
+}
+
+// Restore sets memory from addr to the end to img's content by sharing
+// img's pages; addr must be page-aligned and img must be of this DRAM's
+// size. Private pages in the range go back to the free list. Like
+// LoadImage, a restore over the tainted byte ends its taint.
+func (d *DRAM) Restore(img *Image, addr uint32) {
+	if img.size != d.size || addr%PageBytes != 0 || addr > d.size {
+		panic(fmt.Sprintf("mem: restore of a %#x-byte image at %#x into a %#x-byte DRAM", img.size, addr, d.size))
+	}
+	first := int(addr >> pageShift)
+	for c := first / chunkPages; c < len(img.chunks); c++ {
+		lo := max(first-c*chunkPages, 0)
+		w := d.own[c] &^ (1<<lo - 1)
+		d.own[c] &^= w
+		for ; w != 0; w &= w - 1 {
+			d.free = append(d.free, d.pages[c*chunkPages+bits.TrailingZeros64(w)])
+		}
+		copy(d.pages[c*chunkPages+lo:], img.chunks[c].pages[lo:])
+		copy(d.hash[c*chunkPages+lo:], img.chunks[c].hash[lo:])
+		d.chunks[c] = nil
+		if lo == 0 {
+			d.chunks[c] = img.chunks[c]
+		}
+	}
+	d.overwritten(addr, d.size-addr)
+}
+
+// PrivatePages returns how many private pages the DRAM holds, in use or
+// on its free list.
+func (d *DRAM) PrivatePages() int {
+	n := len(d.free)
+	for _, w := range d.own {
+		n += bits.OnesCount64(w)
+	}
+	return n
+}
+
+// FoldHashes mixes the fingerprint of every page into h in page order:
+// memoised for shared pages, computed for private ones.
+func (d *DRAM) FoldHashes(h *Hasher) {
+	for p, pg := range d.pages {
+		if d.owned(p) {
+			h.Word(pageHash(pg))
+		} else {
+			h.Word(d.hash[p])
+		}
+	}
+}
+
+// FoldHashes mixes the image's page fingerprints into h in page order,
+// the same sequence DRAM.FoldHashes folds for equal content.
+func (img *Image) FoldHashes(h *Hasher) {
+	for p := range numPages(img.size) {
+		h.Word(img.chunks[p/chunkPages].hash[p%chunkPages])
+	}
+}
+
+// ConvergedPages reports whether the DRAM holds img's content, the
+// ladder's rung-crossing check. A chunk span the DRAM shares with img
+// unwritten is equal as a whole; otherwise a page that is the very object
+// img holds is equal, and any other page is compared by fingerprint —
+// memoised for shared pages, computed for the private pages written since
+// the last restore.
+func (d *DRAM) ConvergedPages(img *Image) bool {
+	for c, ch := range img.chunks {
+		if d.own[c] == 0 && d.chunks[c] == ch {
+			continue
+		}
+		for p := c * chunkPages; p < min((c+1)*chunkPages, len(d.pages)); p++ {
+			pg := d.pages[p]
+			if pg == ch.pages[p%chunkPages] {
+				continue
+			}
+			h := d.hash[p]
+			if d.owned(p) {
+				h = pageHash(pg)
+			}
+			if h != ch.hash[p%chunkPages] {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// EqualPages reports whether the DRAM holds img's content by comparing
+// every byte of every page, shared ones included — the exact reference
+// ConvergedPages is cross-checked against.
+func (d *DRAM) EqualPages(img *Image) bool {
+	if img.size != d.size {
+		return false
+	}
+	for p, pg := range d.pages {
+		if !equalPage(pg, img.page(p)) {
+			return false
+		}
+	}
+	return true
+}
+
+// equalPage compares two pages word by word. It deliberately has no
+// same-page shortcut, so it also checks a page two tables share.
+func equalPage(x, y *page) bool {
+	for i := 0; i < PageBytes; i += 8 {
+		if binary.LittleEndian.Uint64(x[i:]) != binary.LittleEndian.Uint64(y[i:]) {
+			return false
+		}
+	}
+	return true
+}
+
+// ImageBytes accounts the memory a set of images retains beyond base.
+// owned counts every page and chunk base does not hold once, plus each
+// image's chunk directory; shared counts the page bytes the images
+// reference more than once, which a copy per image would have duplicated.
+func ImageBytes(base *Image, imgs []*Image) (owned, shared int) {
+	inBase := make(map[any]bool)
+	for _, ch := range base.chunks {
+		inBase[ch] = true
+		for _, pg := range ch.pages {
+			inBase[pg] = true
+		}
+	}
+	counted := make(map[any]bool)
+	for _, img := range imgs {
+		owned += len(img.chunks) * 8
+		for _, ch := range img.chunks {
+			if !inBase[ch] && !counted[ch] {
+				counted[ch] = true
+				owned += chunkPages * 16
+			}
+			for _, pg := range ch.pages {
+				switch {
+				case pg == nil || inBase[pg]:
+				case counted[pg]:
+					shared += PageBytes
+				default:
+					counted[pg] = true
+					owned += PageBytes
+				}
+			}
+		}
+	}
+	return owned, shared
 }

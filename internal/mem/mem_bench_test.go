@@ -97,34 +97,34 @@ func itoa(n int) string {
 }
 
 // BenchmarkConvergedPages compares the rung-crossing DRAM check over a
-// 4 MiB image: incremental dirty-page hashing (a handful of touched
-// pages) against the exact full-image span comparison.
+// 4 MiB memory restored from an image and then written: the page check
+// (identity, then fingerprints of the handful of written pages) against
+// the exact comparison of every byte.
 func BenchmarkConvergedPages(b *testing.B) {
 	dram := NewDRAM(4 << 20)
-	base := make([]byte, dram.Size())
-	basePF := HashPages(base, nil)
-	dram.RestoreDelta(base, &Delta{})
 	line := make([]byte, 32)
 	for i := range line {
 		line[i] = byte(i)
 	}
-	// Dirty a workload-sized set: 16 pages.
+	// A workload-sized working set: 16 pages.
 	for p := uint32(0); p < 16; p++ {
 		dram.WriteLine(p*PageBytes+64, line)
 	}
-	golden := dram.DiffAgainst(base)
-	goldenPF := dram.HashPages(nil)
-	diffPages := DiffPageBitmap(basePF, goldenPF)
+	golden := dram.Freeze()
+	dram.Restore(golden, 0)
+	for p := uint32(0); p < 16; p++ {
+		dram.WriteLine(p*PageBytes+64, line)
+	}
 	b.Run("incremental", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if !dram.ConvergedPages(diffPages, goldenPF) {
+			if !dram.ConvergedPages(golden) {
 				b.Fatal("must converge to own content")
 			}
 		}
 	})
 	b.Run("full-image", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if !dram.EqualBaseDelta(base, golden) {
+			if !dram.EqualPages(golden) {
 				b.Fatal("must converge to own content")
 			}
 		}

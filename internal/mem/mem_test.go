@@ -202,17 +202,17 @@ func TestFlushInto(t *testing.T) {
 	bus := NewBus(dram)
 	c := NewCache(smallCacheCfg("c"), bus)
 	c.Write(64, 4, 0xFEEDFACE)
-	img := dram.PeekBytes(0, dram.Size())
-	if img[64] == 0xCE {
+	if dram.Peek(64) == 0xFEEDFACE {
 		t.Fatal("dirty data unexpectedly already in DRAM")
 	}
+	img := dram.Clone()
 	c.FlushInto(img)
-	if img[64] != 0xCE || img[67] != 0xFE {
-		t.Fatalf("FlushInto missed the dirty line: % x", img[64:68])
+	if img.Peek(64) != 0xFEEDFACE {
+		t.Fatalf("FlushInto missed the dirty line: %#x", img.Peek(64))
 	}
-	// FlushInto must not alter the cache itself.
-	if c.DirtyLines() != 1 {
-		t.Fatal("FlushInto disturbed cache state")
+	// FlushInto must alter neither the cache nor the clone's source.
+	if c.DirtyLines() != 1 || dram.Peek(64) == 0xFEEDFACE {
+		t.Fatal("FlushInto disturbed cache or source DRAM state")
 	}
 }
 

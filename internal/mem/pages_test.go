@@ -3,228 +3,357 @@ package mem
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
-// emptyDelta is a delta with no spans (golden content equals base).
-func emptyDelta() *Delta { return &Delta{} }
-
-// TestRestoreDeltaPageBoundaryWrites pins the dirty-tracking invariant at
-// page edges: a write that straddles a page boundary must mark both
-// pages, or the tracked restore leaves stale bytes behind in the page
-// that was missed.
-func TestRestoreDeltaPageBoundaryWrites(t *testing.T) {
-	dram := NewDRAM(4 * PageBytes)
-	rng := rand.New(rand.NewSource(7))
-	scribble(dram, rng, 40)
-	base := append([]byte(nil), dram.data...)
-
-	// Establish tracking with an empty delta: content == base, no dirty pages.
-	dram.RestoreDelta(base, emptyDelta())
-	if !dram.Tracking(base) {
-		t.Fatal("tracking not established by RestoreDelta")
+// scribble writes pseudo-random lines into d through its public write path.
+func scribble(d *DRAM, rng *rand.Rand, writes int) {
+	line := make([]byte, 32)
+	for i := 0; i < writes; i++ {
+		rng.Read(line)
+		addr := uint32(rng.Intn(int(d.Size())-len(line))) &^ 31
+		d.WriteLine(addr, line)
 	}
+}
+
+// contents returns d's full content.
+func contents(d *DRAM) []byte { return d.PeekBytes(0, d.Size()) }
+
+// refHashes fingerprints a flat image page by page, a short last page
+// padded with zeros.
+func refHashes(img []byte) []uint64 {
+	var out []uint64
+	for p := 0; p < len(img); p += PageBytes {
+		var pg page
+		copy(pg[:], img[p:])
+		out = append(out, pageHash(&pg))
+	}
+	return out
+}
+
+// refFold folds a flat image's page fingerprints like FoldHashes.
+func refFold(img []byte) uint64 {
+	h := NewHasher()
+	for _, v := range refHashes(img) {
+		h.Word(v)
+	}
+	return h.Sum()
+}
+
+// dramFold returns the fold of d's page fingerprints.
+func dramFold(d *DRAM) uint64 {
+	h := NewHasher()
+	d.FoldHashes(h)
+	return h.Sum()
+}
+
+// imageHashes returns an image's memoised page fingerprints.
+func imageHashes(img *Image) []uint64 {
+	var out []uint64
+	for p := range numPages(img.size) {
+		out = append(out, img.chunks[p/chunkPages].hash[p%chunkPages])
+	}
+	return out
+}
+
+// imageBytes returns an image's full content.
+func imageBytes(img *Image) []byte {
+	var out []byte
+	for p := range numPages(img.size) {
+		out = append(out, img.page(p)[:]...)
+	}
+	return out[:img.size]
+}
+
+// TestRestorePagesBitIdentity pins the restore contract: whatever
+// sequence of restores and interleaved writes runs — lines, words that
+// straddle page boundaries, the first and last bytes of memory, whole
+// images — a restore leaves exactly the frozen content behind, from the
+// restore address on, and never changes a frozen image.
+func TestRestorePagesBitIdentity(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	dram := NewDRAM(64 * PageBytes)
+	scribble(dram, rng, 150)
+	imgA := dram.Freeze()
+	wantA := contents(dram)
+	scribble(dram, rng, 60)
+	dram.Poke(PageBytes-2, rng.Uint32()) // straddles pages 0 and 1
+	imgB := dram.Freeze()
+	wantB := contents(dram)
 
 	line := make([]byte, 32)
 	for i := range line {
 		line[i] = 0xA5
 	}
-	writes := []uint32{
-		0,                       // first bytes of page 0
-		PageBytes - 16,          // straddles the page 0/1 boundary
-		2*PageBytes - 4,         // last word of page 1 via Poke
-		uint32(len(base)) - 32,  // last line of the last page
-		3*PageBytes - uint32(8), // straddle into the final page
-	}
-	for _, a := range writes {
-		if a == 2*PageBytes-4 {
-			dram.Poke(a, 0xDEADBEEF)
-			continue
+	for round, img := range []*Image{imgA, imgA, imgB, imgB, imgA, imgB} {
+		want := wantA
+		if img == imgB {
+			want = wantB
 		}
-		if !dram.WriteLine(a, line) {
-			t.Fatalf("WriteLine(%#x) failed", a)
+		dram.Restore(img, 0)
+		if !bytes.Equal(contents(dram), want) {
+			t.Fatalf("round %d: restored content differs from the frozen image", round)
+		}
+		// Dirty every write path before the next restore.
+		scribble(dram, rng, 30)
+		dram.WriteLine(0, line)
+		dram.WriteLine(dram.Size()-32, line)
+		dram.Poke(2*PageBytes-2, rng.Uint32())
+		if round == 3 {
+			full := make([]byte, dram.Size())
+			rng.Read(full)
+			if err := dram.LoadImage(0, full); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
-
-	// The tracked restore copies back only dirty pages; any page missed by
-	// markDirty would keep the 0xA5 bytes.
-	dram.RestoreDelta(base, emptyDelta())
-	if !bytes.Equal(dram.data, base) {
-		t.Fatal("tracked restore left stale bytes after page-boundary writes")
+	if !bytes.Equal(imageBytes(imgA), wantA) || !bytes.Equal(imageBytes(imgB), wantB) {
+		t.Fatal("writes after a restore changed a frozen image")
 	}
-}
 
-// TestRestoreDeltaEdgeSpans exercises deltas whose spans sit at the very
-// start and end of the image and cross page boundaries.
-func TestRestoreDeltaEdgeSpans(t *testing.T) {
-	dram := NewDRAM(4 * PageBytes)
-	rng := rand.New(rand.NewSource(8))
-	scribble(dram, rng, 40)
-	base := append([]byte(nil), dram.data...)
-
-	// Build golden content whose diff spans hit the edges.
-	line := make([]byte, 32)
-	rng.Read(line)
-	dram.WriteLine(0, line)
-	rng.Read(line)
-	dram.WriteLine(PageBytes-16, line) // crosses page 0/1
-	rng.Read(line)
-	dram.WriteLine(dram.Size()-32, line) // final bytes of the image
-	delta := dram.DiffAgainst(base)
-	want := append([]byte(nil), base...)
-	delta.Apply(want)
-
-	// Un-tracked restore, then repeated tracked restores with interleaved
-	// divergence.
-	dram2 := NewDRAM(4 * PageBytes)
-	for round := 0; round < 3; round++ {
-		dram2.RestoreDelta(base, delta)
-		if !bytes.Equal(dram2.data, want) {
-			t.Fatalf("round %d: edge-span restore diverged", round)
-		}
-		scribble(dram2, rng, 30)
-		dram2.Poke(PageBytes, rng.Uint32())
+	// A partial restore replaces only the pages from its address on.
+	dram.Restore(imgA, 0)
+	dram.Poke(0, 0xDEADBEEF)
+	dram.Restore(imgB, 32*PageBytes)
+	got := contents(dram)
+	if got[0] != 0xEF || !bytes.Equal(got[4:32*PageBytes], wantA[4:32*PageBytes]) ||
+		!bytes.Equal(got[32*PageBytes:], wantB[32*PageBytes:]) {
+		t.Fatal("partial restore touched pages below its address or missed pages above")
 	}
 }
 
 // TestConvergedPagesMatchesExact is the correctness property the ladder's
-// fast path rests on: for tracked DRAM, the incremental dirty-page
-// verdict must agree with the exact EqualBaseDelta comparison (modulo
-// page-hash collisions, which the fixed seeds below do not hit).
+// rung-crossing check rests on: the page-identity-then-fingerprint verdict
+// must agree with the exact every-byte comparison (modulo page-hash
+// collisions, which the fixed seed does not hit).
 func TestConvergedPagesMatchesExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	dram := NewDRAM(16 * PageBytes)
 	scribble(dram, rng, 100)
-	base := append([]byte(nil), dram.data...)
-	basePF := HashPages(base, nil)
-
-	// A golden image (base+delta) and its per-page fingerprints.
+	base := dram.Freeze()
 	scribble(dram, rng, 60)
-	golden := dram.DiffAgainst(base)
-	goldenPF := dram.HashPages(nil)
-	diffPages := DiffPageBitmap(basePF, goldenPF)
+	golden := dram.Freeze()
 
 	check := func(what string) {
 		t.Helper()
-		inc := dram.ConvergedPages(diffPages, goldenPF)
-		full := dram.EqualBaseDelta(base, golden)
-		if inc != full {
-			t.Fatalf("%s: incremental verdict %v != exact verdict %v", what, inc, full)
+		if inc, full := dram.ConvergedPages(golden), dram.EqualPages(golden); inc != full {
+			t.Fatalf("%s: page verdict %v != exact verdict %v", what, inc, full)
 		}
 	}
-
-	// Converged: restore exactly to golden.
-	dram.RestoreDelta(base, golden)
+	dram.Restore(golden, 0)
 	check("restored to golden")
-	if !dram.ConvergedPages(diffPages, goldenPF) {
+	if !dram.ConvergedPages(golden) {
 		t.Fatal("restored-to-golden state must report converged")
 	}
-
-	// Diverged in a dirty page: the rehash catches it.
+	// A flip inside a private page: the rehash catches it.
 	dram.Poke(0, dram.Peek(0)^1)
-	check("flip inside a dirty page")
-
-	// Restore to base only: golden-differs pages are now clean, so the
-	// bitmap check alone proves divergence without hashing anything.
-	dram.RestoreDelta(base, emptyDelta())
-	check("restored to base with golden != base")
-	if dram.ConvergedPages(diffPages, goldenPF) {
-		t.Fatal("base-only content must not report converged to golden")
+	check("flip inside a private page")
+	// Writing a page's own content back makes it private but equal.
+	dram.Poke(0, dram.Peek(0)^1)
+	check("flip reverted")
+	if !dram.ConvergedPages(golden) {
+		t.Fatal("reverted flip must report converged")
 	}
-
-	// Randomized agreement sweep: partial restores and scribbles.
+	// Shared pages of another image compare by their memoised hashes.
+	dram.Restore(base, 0)
+	check("restored to base")
+	if dram.ConvergedPages(golden) {
+		t.Fatal("base content must not report converged to golden")
+	}
 	for i := 0; i < 50; i++ {
-		if i%7 == 0 {
-			dram.RestoreDelta(base, golden)
-		} else if i%11 == 0 {
-			dram.RestoreDelta(base, emptyDelta())
+		switch {
+		case i%7 == 0:
+			dram.Restore(golden, 0)
+		case i%11 == 0:
+			dram.Restore(base, 0)
 		}
 		scribble(dram, rng, rng.Intn(8))
 		check("randomized sweep")
 	}
 }
 
-// TestHashPagesAndDiffBitmap pins the page-fingerprint plumbing: one
-// fingerprint per page including a short final page, and bitmap bits set
-// exactly where pages differ.
-func TestHashPagesAndDiffBitmap(t *testing.T) {
-	img := make([]byte, 3*PageBytes+100) // short trailing page
-	rng := rand.New(rand.NewSource(10))
-	rng.Read(img)
-	pf := HashPages(img, nil)
-	if len(pf) != 4 {
-		t.Fatalf("HashPages returned %d fingerprints, want 4", len(pf))
+// TestConvergedPagesWithImage checks convergence while a restored image is
+// in place: its content must not count as converged to an earlier image,
+// and writing the earlier content back page by page must.
+func TestConvergedPagesWithImage(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	dram := NewDRAM(1 << 18)
+	scribble(dram, rng, 100)
+	base := dram.Freeze()
+	baseBytes := contents(dram)
+	scribble(dram, rng, 50)
+	img := dram.Freeze()
+	dram.Restore(img, 0)
+
+	if dram.ConvergedPages(base) {
+		t.Fatal("image content counted as converged to base")
 	}
-	other := append([]byte(nil), img...)
-	other[PageBytes+5] ^= 0x10        // page 1
-	other[3*PageBytes+99] ^= 0x01     // short page 3
-	pf2 := HashPages(other, pf[:0:0]) // fresh dst
-	bm := DiffPageBitmap(pf, pf2)
-	if want := uint64(1<<1 | 1<<3); bm[0] != want {
-		t.Fatalf("DiffPageBitmap = %#x, want %#x", bm[0], want)
+	for off := uint32(0); off < dram.Size(); off += 32 {
+		dram.WriteLine(off, baseBytes[off:off+32])
 	}
-	// Appending into a reused dst extends rather than overwrites.
-	both := HashPages(img, pf2)
-	if len(both) != 8 || both[0] != pf2[0] {
-		t.Fatalf("HashPages append semantics broken: len=%d", len(both))
+	if !dram.ConvergedPages(base) {
+		t.Fatal("base content not detected as converged")
 	}
 }
 
-// TestDirtyCaptureMatchesFullScan pins the tracked capture paths to their
-// full-scan counterparts: with dirty-page tracking armed, DiffAgainstDirty
-// must emit span-for-span the delta DiffAgainst computes, and
-// HashPagesDirty the fingerprints HashPages computes — on every round of
-// a randomized write workload, including a short trailing page.
+// TestDirtyCaptureMatchesFullScan pins the memoised page fingerprints to
+// a full scan: on every round of a randomized write workload over a
+// memory with a short trailing page, FoldHashes and a fresh Freeze's
+// fingerprints must equal those of the flat content.
 func TestDirtyCaptureMatchesFullScan(t *testing.T) {
-	// A size that is not page-aligned exercises the last-page clamps.
 	dram := NewDRAM(6*PageBytes - 100)
 	rng := rand.New(rand.NewSource(23))
-	scribble(dram, rng, 30)
-	base := append([]byte(nil), dram.data...)
-	basePF := HashPages(base, nil)
-	dram.RestoreDelta(base, emptyDelta())
-
+	if dramFold(dram) != refFold(contents(dram)) {
+		t.Fatal("fresh DRAM fingerprints differ from the all-zero content's")
+	}
 	for round := 0; round < 30; round++ {
 		switch rng.Intn(4) {
 		case 0:
 			scribble(dram, rng, 1+rng.Intn(8))
 		case 1:
-			// Straddle a page boundary.
-			p := uint32(1+rng.Intn(4)) * PageBytes
-			dram.Poke(p-2, rng.Uint32())
+			dram.Poke(uint32(1+rng.Intn(4))*PageBytes-2, rng.Uint32())
 		case 2:
-			// Touch the short final page.
 			dram.Poke(dram.Size()-4, rng.Uint32())
 		case 3:
-			// Write a page back to its base content: the page stays
-			// dirty but contributes no spans.
-			p := uint32(rng.Intn(5)) * PageBytes
-			for off := uint32(0); off < PageBytes; off += 32 {
-				dram.WriteLine(p+off, base[p+off:p+off+32])
+			dram.Freeze()
+		}
+		flat := contents(dram)
+		if dramFold(dram) != refFold(flat) {
+			t.Fatalf("round %d: FoldHashes differs from a full scan", round)
+		}
+		if round%5 == 0 {
+			img := dram.Freeze()
+			if !slices.Equal(imageHashes(img), refHashes(flat)) {
+				t.Fatalf("round %d: frozen fingerprints differ from a full scan", round)
 			}
-		}
-
-		want, got := dram.DiffAgainst(base), dram.DiffAgainstDirty(base)
-		if len(want.spans) != len(got.spans) || want.changed != got.changed {
-			t.Fatalf("round %d: dirty diff shape %d spans/%d changed, full scan %d/%d",
-				round, len(got.spans), got.changed, len(want.spans), want.changed)
-		}
-		for i := range want.spans {
-			if want.spans[i].off != got.spans[i].off || !bytes.Equal(want.spans[i].data, got.spans[i].data) {
-				t.Fatalf("round %d: span %d differs: dirty off=%d full off=%d",
-					round, i, got.spans[i].off, want.spans[i].off)
-			}
-		}
-
-		wantPF := dram.HashPages(nil)
-		gotPF := dram.HashPagesDirty(basePF)
-		if len(wantPF) != len(gotPF) {
-			t.Fatalf("round %d: page fingerprint count %d != %d", round, len(gotPF), len(wantPF))
-		}
-		for p := range wantPF {
-			if wantPF[p] != gotPF[p] {
-				t.Fatalf("round %d: page %d fingerprint mismatch", round, p)
+			h := NewHasher()
+			img.FoldHashes(h)
+			if h.Sum() != refFold(flat) {
+				t.Fatalf("round %d: image fold differs from a full scan", round)
 			}
 		}
 	}
+}
+
+// TestFreezeSharesUnwrittenPages pins the copy-on-write economics: a page
+// not written between two freezes is the same object in both images, a
+// chunk span without writes is the same chunk, ImageBytes counts each
+// page and chunk once, and restore-and-run cycles reuse the free list
+// instead of allocating pages.
+func TestFreezeSharesUnwrittenPages(t *testing.T) {
+	dram := NewDRAM(2 * chunkPages * PageBytes)
+	base := dram.Freeze()
+	dram.Poke(0, 1)
+	dram.Poke(5*PageBytes, 2)
+	a := dram.Freeze()
+	dram.Poke(5*PageBytes, 3)
+	b := dram.Freeze()
+	if a.page(0) != b.page(0) || a.page(5) == b.page(5) || a.page(9) != base.page(9) ||
+		a.chunks[1] != base.chunks[1] || b.chunks[1] != base.chunks[1] {
+		t.Fatal("freeze did not share exactly the unwritten pages and chunks")
+	}
+	owned, shared := ImageBytes(base, []*Image{a, b})
+	if want := 3*PageBytes + 2*chunkPages*16 + 2*2*8; owned != want || shared != PageBytes {
+		t.Fatalf("ImageBytes = %d owned, %d shared; want %d, %d", owned, shared, want, PageBytes)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		dram.Restore(a, 0)
+		dram.Poke(0, 9)
+		dram.Poke(7*PageBytes, 9)
+	})
+	if allocs != 0 || dram.PrivatePages() != 2 {
+		t.Fatalf("restore-and-write cycles allocate %v times, hold %d private pages; want 0 and 2",
+			allocs, dram.PrivatePages())
+	}
+}
+
+// FuzzDRAMPages drives random sequences of writes, freezes and restores
+// against a flat reference memory: after every operation the DRAM's bytes
+// and page fingerprints must match the reference, convergence verdicts
+// must match exact comparison, and no frozen image may have changed.
+func FuzzDRAMPages(f *testing.F) {
+	f.Add([]byte{3, 1, 0, 4, 3, 2, 9, 9, 9, 9, 9, 4, 0, 0, 0})
+	f.Add([]byte{0, 200, 17, 40, 3, 2, 255, 15, 1, 2, 3, 6, 0, 4, 5, 4, 1, 16, 3, 5, 64, 1})
+	f.Add(bytes.Repeat([]byte{2, 255, 15, 7, 3}, 12))
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		const size = 3*PageBytes + 100
+		dram := NewDRAM(size)
+		ref := make([]byte, size)
+		type frozen struct {
+			img  *Image
+			want []byte
+		}
+		var imgs []frozen
+		next := func() uint32 {
+			if len(ops) == 0 {
+				return 0
+			}
+			v := uint32(ops[0])
+			ops = ops[1:]
+			return v
+		}
+		for len(ops) > 0 {
+			op := next() % 7
+			addr := (next()<<8 | next()) % size
+			switch op {
+			case 0: // LoadImage of a patterned run, possibly across pages
+				n := min(next()*37, size-addr)
+				img := make([]byte, n)
+				for i := range img {
+					img[i] = byte(addr) + byte(i)
+				}
+				if err := dram.LoadImage(addr, img); err != nil {
+					t.Fatal(err)
+				}
+				copy(ref[addr:], img)
+			case 1: // WriteLine of an aligned line
+				addr = min(addr&^31, size-32)
+				line := bytes.Repeat([]byte{byte(next())}, 32)
+				dram.WriteLine(addr, line)
+				copy(ref[addr:], line)
+			case 2: // Poke, possibly straddling a page boundary
+				addr = min(addr, size-4)
+				v := next() * 0x01010101
+				dram.Poke(addr, v)
+				ref[addr], ref[addr+1], ref[addr+2], ref[addr+3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
+			case 3:
+				imgs = append(imgs, frozen{dram.Freeze(), append([]byte(nil), ref...)})
+			case 4: // restore an earlier image from a page boundary on
+				if len(imgs) == 0 {
+					continue
+				}
+				fr := imgs[int(next())%len(imgs)]
+				at := addr &^ (PageBytes - 1)
+				dram.Restore(fr.img, at)
+				copy(ref[at:], fr.want[at:])
+			case 5:
+				addr = min(addr&^31, size-32)
+				buf := make([]byte, 32)
+				if !dram.ReadLine(addr, buf) || !bytes.Equal(buf, ref[addr:addr+32]) {
+					t.Fatalf("ReadLine(%#x) differs from the reference", addr)
+				}
+			case 6:
+				n := min(next()*53, size-addr)
+				if got := dram.PeekBytes(addr, n); !bytes.Equal(got, ref[addr:addr+n]) {
+					t.Fatalf("PeekBytes(%#x, %d) differs from the reference", addr, n)
+				}
+			}
+			if !bytes.Equal(contents(dram), ref) {
+				t.Fatalf("op %d at %#x: content differs from the reference", op, addr)
+			}
+			if dramFold(dram) != refFold(ref) {
+				t.Fatalf("op %d at %#x: page fingerprints differ from the reference", op, addr)
+			}
+			for i, fr := range imgs {
+				if !bytes.Equal(imageBytes(fr.img), fr.want) || !slices.Equal(imageHashes(fr.img), refHashes(fr.want)) {
+					t.Fatalf("op %d: image %d changed after freezing", op, i)
+				}
+				same := bytes.Equal(ref, fr.want)
+				if dram.ConvergedPages(fr.img) != same || dram.EqualPages(fr.img) != same {
+					t.Fatalf("op %d: convergence to image %d misjudged (equal %v)", op, i, same)
+				}
+			}
+		}
+	})
 }

@@ -766,11 +766,9 @@ func (c *Coordinator) WriteTrace(id string, w io.Writer) error {
 func Assemble(man *Manifest, done map[int]json.RawMessage) (any, error) {
 	switch man.Kind {
 	case KindInjection:
-		res := &gefin.Result{Config: *man.Injection}
-		var prunes []*gefin.PruneSummary
-		var dedups []*gefin.DedupSummary
-		for _, w := range man.Workloads {
-			outs := make([]gefin.ShardOutcome, 0)
+		metas := make([]gefin.ShardMeta, len(man.Workloads))
+		outs := make([][]gefin.ShardOutcome, len(man.Workloads))
+		for wi, w := range man.Workloads {
 			var meta *gefin.ShardMeta
 			// Manifest shard order within a workload is plan order.
 			for i, sh := range man.Shards {
@@ -785,10 +783,10 @@ func Assemble(man *Manifest, done map[int]json.RawMessage) (any, error) {
 				if err := json.Unmarshal(raw, &p); err != nil {
 					return nil, fmt.Errorf("serve: campaign %s shard %d: %w", man.ID, i, err)
 				}
-				if len(outs) != sh.Lo {
-					return nil, fmt.Errorf("serve: campaign %s: shard %d starts at %d, have %d outcomes", man.ID, i, sh.Lo, len(outs))
+				if len(outs[wi]) != sh.Lo {
+					return nil, fmt.Errorf("serve: campaign %s: shard %d starts at %d, have %d outcomes", man.ID, i, sh.Lo, len(outs[wi]))
 				}
-				outs = append(outs, p.Outcomes...)
+				outs[wi] = append(outs[wi], p.Outcomes...)
 				if meta == nil {
 					meta = p.InjMeta
 				}
@@ -796,24 +794,14 @@ func Assemble(man *Manifest, done map[int]json.RawMessage) (any, error) {
 			if meta == nil {
 				return nil, fmt.Errorf("serve: campaign %s: no shards for workload %s", man.ID, w)
 			}
-			wr, err := gefin.AssembleWorkload(*man.Injection, w, *meta, outs)
-			if err != nil {
-				return nil, err
-			}
-			res.Workloads = append(res.Workloads, *wr)
-			if man.Injection.Prune {
-				prunes = append(prunes, gefin.ShardPruneSummary(outs))
-			}
-			if man.Injection.Dedup {
-				dedups = append(dedups, gefin.ShardDedupSummary(outs))
-			}
+			metas[wi] = *meta
 		}
-		// The predicted/deduplicated/simulated splits ride outside
-		// Workloads, so remote optimised campaigns assemble byte-identical
-		// Workloads to plain ones.
-		res.Prune = gefin.MergePruneSummaries(prunes)
-		res.Dedup = gefin.MergeDedupSummaries(dedups)
-		return res, nil
+		// The same assembly as an in-process run, stopping rule included:
+		// Workloads and the stop summary come out byte-identical to
+		// gefin.Run's. The prune and dedup splits ride outside Workloads,
+		// so remote optimised campaigns assemble byte-identical Workloads
+		// to plain ones.
+		return gefin.AssembleResult(*man.Injection, man.Workloads, metas, outs)
 	case KindBeam:
 		metas := make([]beam.ShardMeta, len(man.Workloads))
 		chains := make([][]*beam.ChainOutcome, len(man.Workloads))

@@ -215,6 +215,86 @@ func TestDedupServiceDeterminism(t *testing.T) {
 	}
 }
 
+// TestStopServiceDeterminism pins the sequential stopping rule through
+// the campaign service: the workers execute the whole plan in 100-slot
+// shards, and assembly replays the stop controller, so a stopped remote
+// campaign's Workloads and stop summary are byte-identical to gefin.Run's.
+func TestStopServiceDeterminism(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs real injection campaigns")
+	}
+	cfg := gefin.Config{
+		Seed:               7,
+		FaultsPerComponent: 400,
+		Components:         []fault.Component{fault.CompL1D},
+		TargetMargin:       0.1,
+		Prune:              true,
+		Workers:            1,
+	}
+	spec, ok := bench.ByName("crc32")
+	if !ok {
+		t.Fatal("crc32 missing")
+	}
+	direct, err := gefin.Run(cfg, []bench.Spec{spec}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if direct.Stop == nil || direct.Stop.Saved == 0 {
+		t.Fatalf("local run did not stop early: %+v", direct.Stop)
+	}
+
+	store, err := OpenStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	clk := newFakeClock()
+	c, err := NewCoordinator(CoordConfig{Store: store, LeaseTTL: time.Hour, Now: clk.Now})
+	if err != nil {
+		t.Fatal(err)
+	}
+	man, err := BuildManifest(KindInjection, &cfg, nil, []string{"crc32"}, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, err := c.Submit(man)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	go func() {
+		for {
+			if s, err := c.Status(id); err == nil && s.State == StateComplete {
+				cancel()
+				return
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+	}()
+	if _, err := RunWorker(ctx, WorkerConfig{Node: "n", Source: c, PollInterval: 10 * time.Millisecond}); err != nil {
+		t.Fatal(err)
+	}
+	cancel()
+
+	res, err := c.Results(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assembled := res.(*gefin.Result)
+	for _, part := range []struct {
+		name           string
+		direct, remote any
+	}{
+		{"Workloads", direct.Workloads, assembled.Workloads},
+		{"Stop", direct.Stop, assembled.Stop},
+	} {
+		dj, _ := json.Marshal(part.direct)
+		aj, _ := json.Marshal(part.remote)
+		if string(dj) != string(aj) {
+			t.Fatalf("service %s diverged from the local run:\n direct  %s\n service %s", part.name, dj, aj)
+		}
+	}
+}
+
 // TestBeamServiceDeterminism pins the beam half end to end through the
 // coordinator: chain shards executed through the service assemble to the
 // same Workloads bytes as beam.Run, and with a target margin to the same

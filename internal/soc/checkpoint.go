@@ -27,19 +27,19 @@ import (
 	"armsefi/internal/mem"
 )
 
-// LadderDebugCompare, when set, makes every incremental dirty-page DRAM
-// convergence check also run the exact full-image base+delta comparison
-// and panic on disagreement. It exists to cross-check the fast path (a
-// disagreement means either a dirty-tracking invariant was broken or a
-// page-fingerprint collision occurred) and costs a full DRAM memcmp per
-// rung crossing, so it stays off outside tests and debugging sessions.
+// LadderDebugCompare, when set, makes every page-level DRAM convergence
+// check also run the exact comparison of every byte and panic on
+// disagreement. It exists to cross-check the fast path (a disagreement
+// means either a frozen page was written or a page-fingerprint collision
+// occurred) and costs a full DRAM comparison per rung crossing, so it
+// stays off outside tests and debugging sessions.
 var LadderDebugCompare atomic.Bool
 
 // Checkpoint is one ladder rung: the complete machine state at a cycle
-// boundary of the golden run, with DRAM stored as an immutable
-// copy-on-write page image against the post-boot snapshot (sharable
-// across every worker of a pool), plus the state fingerprint used for
-// the golden-convergence early exit.
+// boundary of the golden run, with DRAM stored as a frozen page image
+// (pages unwritten since the previous rung or the post-boot snapshot are
+// the same objects, and every worker of a pool shares them), plus the
+// state fingerprint used for the golden-convergence early exit.
 type Checkpoint struct {
 	// Cycle is the core cycle counter at capture (run-relative ==
 	// absolute: golden runs start from LoadArch at cycle zero).
@@ -58,15 +58,7 @@ type Checkpoint struct {
 	// early-exit comparison checks it explicitly.
 	lastBeatAbs uint64
 
-	// pageFP holds the golden DRAM's per-page fingerprints at this rung and
-	// diffPages the bitmap of pages where it differs from the base image
-	// (both precomputed at capture). The early-exit check uses them to
-	// compare only the pages dirtied since the last restore instead of
-	// memcmp-ing the full image at every rung crossing.
-	pageFP    []uint64
-	diffPages []uint64
-
-	img   *mem.PageImage
+	img   *mem.Image
 	micro *cpu.MicroState
 	l1i   *mem.CacheState
 	l1d   *mem.CacheState
@@ -125,15 +117,15 @@ func (l *Ladder) Rungs() int { return len(l.rungs) }
 // EffectiveEvery returns the rung spacing actually used.
 func (l *Ladder) EffectiveEvery() uint64 { return l.every }
 
-// MemoryBytes estimates the ladder's retained memory: owned DRAM page
-// payloads, owned cache sets, TLB copies, UART backlogs, and fixed
-// per-rung bookkeeping. Page payloads and cache sets interned from an
-// earlier rung are counted once, by the owning rung — see SharedBytes for
-// the saving.
+// MemoryBytes estimates the ladder's retained memory: DRAM pages the
+// post-boot snapshot does not hold and the rungs' page tables, owned
+// cache sets, TLB copies, UART backlogs, and fixed per-rung bookkeeping.
+// A page or cache set several rungs share is counted once — see
+// SharedBytes for the saving.
 func (l *Ladder) MemoryBytes() int {
-	total := 0
+	total, _ := mem.ImageBytes(l.base.dram, l.images())
 	for _, c := range l.checkpoints() {
-		total += c.img.Bytes() + len(c.uart) + 1024
+		total += len(c.uart) + 1024
 		for _, cs := range []*mem.CacheState{c.l1i, c.l1d, c.l2} {
 			total += cs.MemoryBytes()
 		}
@@ -144,16 +136,15 @@ func (l *Ladder) MemoryBytes() int {
 	return total
 }
 
-// SharedBytes reports the DRAM payload and cache-set bytes the ladder's
-// rungs share with earlier rungs through interning instead of copying —
-// memory a copy-per-rung encoding would have duplicated. Additionally,
-// because every rung is immutable, all workers of a pool restore from the
-// same ladder with no per-worker rung copies at all; the
+// SharedBytes reports the DRAM page and cache-set bytes the ladder's
+// rungs share with earlier rungs instead of copying — memory a
+// copy-per-rung encoding would have duplicated. Additionally, because
+// every rung is immutable, all workers of a pool restore from the same
+// ladder with no per-worker rung copies at all; the
 // armsefi_ladder_shared_bytes metric surfaces this figure.
 func (l *Ladder) SharedBytes() int {
-	total := 0
+	_, total := mem.ImageBytes(l.base.dram, l.images())
 	for _, c := range l.checkpoints() {
-		total += c.img.SharedBytes()
 		for _, cs := range []*mem.CacheState{c.l1i, c.l1d, c.l2} {
 			total += cs.SharedBytes()
 		}
@@ -165,6 +156,15 @@ func (l *Ladder) SharedBytes() int {
 // state.
 func (l *Ladder) checkpoints() []*Checkpoint {
 	return append(l.rungs[:len(l.rungs):len(l.rungs)], l.end)
+}
+
+// images returns every checkpoint's DRAM image.
+func (l *Ladder) images() []*mem.Image {
+	var imgs []*mem.Image
+	for _, c := range l.checkpoints() {
+		imgs = append(imgs, c.img)
+	}
+	return imgs
 }
 
 // RungCycleFor returns the cycle of the highest rung at or below cycle —
@@ -203,23 +203,14 @@ func (m *Machine) microFingerprint(h *mem.Hasher) {
 
 // fingerprint folds the machine's complete live state into h: the
 // non-DRAM micro fingerprint followed by the DRAM image as a fold of its
-// per-page fingerprints (so capture, which needs the page fingerprints
-// anyway, computes both stages from one pass over memory). Everything
+// per-page fingerprints (so capture folds the fingerprints its frozen
+// image memoises instead of hashing memory again). Everything
 // that can influence future execution or the run Result is covered, so a
 // fingerprint match implies the remaining execution is identical to the
 // golden run's.
 func (m *Machine) fingerprint(h *mem.Hasher) {
 	m.microFingerprint(h)
-	foldPageFP(h, m.DRAM.HashPages(nil))
-}
-
-// foldPageFP mixes a per-page fingerprint set into h: the DRAM stage of
-// the full fingerprint. captureCheckpoint must fold the identical
-// sequence.
-func foldPageFP(h *mem.Hasher, pageFP []uint64) {
-	for _, fp := range pageFP {
-		h.Word(fp)
-	}
+	m.DRAM.FoldHashes(h)
 }
 
 // Fingerprint returns the machine's current live-state fingerprint
@@ -237,43 +228,29 @@ func (m *Machine) microFPSum() uint64 {
 	return h.Sum()
 }
 
-// captureCheckpoint snapshots the full machine state mid-run. basePF is
-// the base image's per-page fingerprints, computed once per ladder; the
-// rung's own page fingerprints are diffed against it to precompute the
-// exact differs-from-base page bitmap the early-exit check consumes.
-// prev is the previously captured rung (nil for rung 0): page payloads
-// and cache sets unchanged since it are interned — byte-verified —
-// instead of copied.
-func (m *Machine) captureCheckpoint(base *Snapshot, basePF []uint64, lastBeatAbs uint64, prev *Checkpoint) *Checkpoint {
+// captureCheckpoint snapshots the full machine state mid-run. DRAM is
+// frozen in place: only pages written since the previous rung are new
+// objects (and hashed), the rest are shared with it. prev is the previously
+// captured rung (nil for rung 0): cache sets unchanged since it are
+// interned — byte-verified — instead of copied.
+func (m *Machine) captureCheckpoint(lastBeatAbs uint64, prev *Checkpoint) *Checkpoint {
 	// One hasher pass yields both stages: microFP is the running sum
 	// before the DRAM page fingerprints are folded in, Fingerprint after.
-	// With dirty-page tracking active (ReplayGolden arms it), only pages
-	// the replay has written are re-hashed and re-diffed; unmarked pages
-	// are byte-identical to the base image, exactly.
 	h := mem.NewHasher()
 	m.microFingerprint(h)
 	micro := h.Sum()
-	var pageFP []uint64
-	if m.DRAM.Tracking(base.dram) {
-		pageFP = m.DRAM.HashPagesDirty(basePF)
-	} else {
-		pageFP = m.DRAM.HashPages(make([]uint64, 0, len(basePF)))
-	}
-	foldPageFP(h, pageFP)
-	diffPages := mem.DiffPageBitmap(basePF, pageFP)
-	var prevImg *mem.PageImage
+	img := m.DRAM.Freeze()
+	img.FoldHashes(h)
 	var prevL1I, prevL1D, prevL2 *mem.CacheState
 	if prev != nil {
-		prevImg, prevL1I, prevL1D, prevL2 = prev.img, prev.l1i, prev.l1d, prev.l2
+		prevL1I, prevL1D, prevL2 = prev.l1i, prev.l1d, prev.l2
 	}
 	return &Checkpoint{
 		Cycle:       m.core.Cycles(),
 		Fingerprint: h.Sum(),
 		microFP:     micro,
 		lastBeatAbs: lastBeatAbs,
-		pageFP:      pageFP,
-		diffPages:   diffPages,
-		img:         m.DRAM.BuildPageImage(base.dram, pageFP, diffPages, prevImg),
+		img:         img,
 		micro:       m.core.SaveMicro(),
 		l1i:         m.Mem.L1I.SaveStateAgainst(prevL1I),
 		l1d:         m.Mem.L1D.SaveStateAgainst(prevL1D),
@@ -287,10 +264,11 @@ func (m *Machine) captureCheckpoint(base *Snapshot, basePF []uint64, lastBeatAbs
 }
 
 // RestoreCheckpoint brings the machine to the exact state of a ladder
-// rung. The core micro-state is loaded first (it sets the TTBR, which
-// may invalidate TLBs on change) and the TLB content after.
-func (m *Machine) RestoreCheckpoint(l *Ladder, c *Checkpoint) {
-	m.DRAM.RestorePages(l.base.dram, c.img)
+// rung; DRAM restores by sharing the rung's pages. The core micro-state
+// is loaded first (it sets the TTBR, which may invalidate TLBs on change)
+// and the TLB content after.
+func (m *Machine) RestoreCheckpoint(c *Checkpoint) {
+	m.DRAM.Restore(c.img, 0)
 	m.core.LoadMicro(c.micro)
 	m.Mem.L1I.RestoreState(c.l1i)
 	m.Mem.L1D.RestoreState(c.l1d)
@@ -317,21 +295,12 @@ func (m *Machine) RestoreCheckpoint(l *Ladder, c *Checkpoint) {
 func (m *Machine) ReplayGolden(base *Snapshot, warm bool, every uint64, max int, live bool, budget uint64) (*Ladder, *LivenessLog) {
 	m.RestoreSnapshot(base, warm)
 	var (
-		l      *Ladder
-		basePF []uint64
-		log    *LivenessLog
+		l   *Ladder
+		log *LivenessLog
 	)
 	if every > 0 {
 		l = &Ladder{base: base, warm: warm, every: every}
-		basePF = mem.HashPages(base.dram, nil)
-		// Arm dirty-page tracking for the replay: captures then hash and
-		// diff only the pages the run has written (an exact, byte-level
-		// invariant — unmarked pages equal the base image RestoreSnapshot
-		// just loaded). RestoreDelta with an empty delta is the canonical
-		// way to (re)base the tracker; injection runs keep it armed via
-		// RestoreCheckpoint.
-		m.DRAM.RestoreDelta(base.dram, &mem.Delta{})
-		l.rungs = append(l.rungs, m.captureCheckpoint(base, basePF, 0, nil))
+		l.rungs = append(l.rungs, m.captureCheckpoint(0, nil))
 	}
 	if live {
 		log = m.attachLiveness(warm)
@@ -365,7 +334,7 @@ func (m *Machine) ReplayGolden(base *Snapshot, warm bool, every uint64, max int,
 			// The atomic model can step several cycles at once and skip a
 			// boundary; the rung lands on the first boundary actually
 			// reached, and faulty runs compare only on exact hits.
-			l.rungs = append(l.rungs, m.captureCheckpoint(base, basePF, lastBeatAbs, l.rungs[len(l.rungs)-1]))
+			l.rungs = append(l.rungs, m.captureCheckpoint(lastBeatAbs, l.rungs[len(l.rungs)-1]))
 			for nextRung <= abs {
 				nextRung += every
 			}
@@ -390,7 +359,7 @@ func (m *Machine) ReplayGolden(base *Snapshot, warm bool, every uint64, max int,
 	res.LastBeatCycle = lastBeatAbs
 	if l != nil {
 		l.Final = res
-		l.end = m.captureCheckpoint(base, basePF, lastBeatAbs, l.rungs[len(l.rungs)-1])
+		l.end = m.captureCheckpoint(lastBeatAbs, l.rungs[len(l.rungs)-1])
 	}
 	if log != nil {
 		log.Final = res
@@ -398,23 +367,17 @@ func (m *Machine) ReplayGolden(base *Snapshot, warm bool, every uint64, max int,
 	return l, log
 }
 
-// dramConverged reports whether the machine's DRAM matches rung r of l.
-// When dirty-page tracking is active against the ladder's base (always
-// the case after RestoreCheckpoint), only the pages written since the
-// last restore are compared — via the rung's precomputed per-page golden
-// fingerprints — instead of memcmp-ing the full image; the exact
-// full-image comparison remains as the fallback and as the
-// LadderDebugCompare cross-check.
-func (m *Machine) dramConverged(l *Ladder, r *Checkpoint) bool {
-	if !m.DRAM.Tracking(l.base.dram) {
-		return m.DRAM.EqualBasePages(l.base.dram, r.img)
-	}
-	inc := m.DRAM.ConvergedPages(r.diffPages, r.pageFP)
+// dramConverged reports whether the machine's DRAM matches rung r: pages
+// shared with the rung are equal by identity, the rest compare by their
+// memoised or freshly computed fingerprints. The exact comparison of
+// every byte is the LadderDebugCompare cross-check.
+func (m *Machine) dramConverged(r *Checkpoint) bool {
+	inc := m.DRAM.ConvergedPages(r.img)
 	if LadderDebugCompare.Load() {
-		full := m.DRAM.EqualBasePages(l.base.dram, r.img)
+		full := m.DRAM.EqualPages(r.img)
 		if inc != full {
 			panic(fmt.Sprintf(
-				"soc: incremental DRAM convergence (%v) disagrees with full comparison (%v) at rung cycle %d",
+				"soc: page-level DRAM convergence (%v) disagrees with full comparison (%v) at rung cycle %d",
 				inc, full, r.Cycle))
 		}
 	}
@@ -429,7 +392,7 @@ func (m *Machine) dramConverged(l *Ladder, r *Checkpoint) bool {
 // to RestoreSnapshot + RunWithInjection with the same arguments.
 func (m *Machine) RunLadderInjection(l *Ladder, watchdog, injectAt uint64, inject func()) (Result, LadderStats) {
 	rung := l.rungFor(injectAt)
-	m.RestoreCheckpoint(l, rung)
+	m.RestoreCheckpoint(rung)
 	stats := LadderStats{FastForwarded: rung.Cycle}
 
 	uartBase := len(l.base.uart)
@@ -469,10 +432,9 @@ func (m *Machine) RunLadderInjection(l *Ladder, watchdog, injectAt uint64, injec
 				next++
 				// Staged convergence check: the cheap non-DRAM fingerprint
 				// first (a diverged run almost always differs there), then
-				// the DRAM comparison — incremental over dirty pages when
-				// tracking is active, exact base+delta memcmp otherwise.
+				// the DRAM page comparison.
 				if lastBeatAbs == r.lastBeatAbs && m.microFPSum() == r.microFP &&
-					m.dramConverged(l, r) {
+					m.dramConverged(r) {
 					stats.EarlyExit = true
 					stats.TailSaved = l.Final.Cycles - abs
 					stats.ConvergedAt = abs
@@ -510,6 +472,6 @@ func (m *Machine) RunLadderInjection(l *Ladder, watchdog, injectAt uint64, injec
 // reboot runs of its strike chains, whose live-board semantics allow no
 // other reordering.
 func (m *Machine) FastForwardGolden(l *Ladder) Result {
-	m.RestoreCheckpoint(l, l.end)
+	m.RestoreCheckpoint(l.end)
 	return l.Final
 }

@@ -33,26 +33,23 @@ func benchLadderMachine(b *testing.B) (*Machine, *Ladder) {
 // BenchmarkRungConvergence measures the cost an injection run pays at
 // every rung crossing: the staged golden-convergence check (micro
 // fingerprint, then DRAM). The incremental arm is the production path —
-// dirty-page tracking is active after a checkpoint restore, so only
-// pages written since the restore are rehashed; the full arm is the
-// exact whole-image comparison the debug cross-check falls back to.
+// after a checkpoint restore the machine shares the rung's pages, so only
+// pages written since the restore are rehashed; the full arm is the exact
+// comparison of every byte the debug cross-check runs.
 func BenchmarkRungConvergence(b *testing.B) {
 	m, l := benchLadderMachine(b)
 	r := l.rungs[len(l.rungs)/2]
-	m.RestoreCheckpoint(l, r) // activates dirty-page tracking against l.base
-	if !m.DRAM.Tracking(l.base.dram) {
-		b.Fatal("tracking not active after checkpoint restore")
-	}
+	m.RestoreCheckpoint(r)
 	b.Run("incremental", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if m.microFPSum() != r.microFP || !m.dramConverged(l, r) {
+			if m.microFPSum() != r.microFP || !m.dramConverged(r) {
 				b.Fatal("restored rung must converge to itself")
 			}
 		}
 	})
 	b.Run("full-image", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if m.microFPSum() != r.microFP || !m.DRAM.EqualBasePages(l.base.dram, r.img) {
+			if m.microFPSum() != r.microFP || !m.DRAM.EqualPages(r.img) {
 				b.Fatal("restored rung must converge to itself")
 			}
 		}

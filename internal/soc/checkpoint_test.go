@@ -96,7 +96,7 @@ func TestRestoreCheckpointBitIdenticalToReplay(t *testing.T) {
 
 			// Restore the rung directly: same fingerprint, same arch state,
 			// and the continued run must complete the golden tail exactly.
-			m.RestoreCheckpoint(l, c)
+			m.RestoreCheckpoint(c)
 			if got := m.Fingerprint(); got != c.Fingerprint {
 				t.Errorf("%v rung %d: restored fingerprint %#x != captured %#x",
 					model, i, got, c.Fingerprint)
@@ -242,11 +242,11 @@ func TestLadderInternsUntouchedCacheSets(t *testing.T) {
 }
 
 // TestLadderDebugCrossCheckAgrees runs ladder injections with the debug
-// cross-check enabled: every incremental dirty-page convergence verdict
-// is compared against the exact full-image comparison and panics on
-// disagreement, so simply completing the spread — with results still
-// bit-identical to full replays — proves the fast path agrees with the
-// exact one at every rung crossing.
+// cross-check enabled: every page-level convergence verdict is compared
+// against the exact full-image comparison and panics on disagreement, so
+// simply completing the spread — with results still bit-identical to full
+// replays — proves the fast path agrees with the exact one at every rung
+// crossing.
 func TestLadderDebugCrossCheckAgrees(t *testing.T) {
 	LadderDebugCompare.Store(true)
 	t.Cleanup(func() { LadderDebugCompare.Store(false) })
@@ -267,34 +267,37 @@ func TestLadderDebugCrossCheckAgrees(t *testing.T) {
 	}
 }
 
-// TestLadderDebugCrossCheckPanicsOnDisagreement seeds a disagreement —
-// a corrupted per-page fingerprint (with its diffPages bit set so the
-// check visits it) for a page the workload never touches, making the
-// incremental verdict false while the exact comparison still sees a
-// converged machine — and requires the debug cross-check to panic.
+// TestLadderDebugCrossCheckPanicsOnDisagreement seeds a disagreement: the
+// injection writes a page-fingerprint collision into a page the workload
+// never touches — content that differs from every rung's yet hashes
+// equal — so the page-level verdict is "converged" while the exact
+// comparison sees different bytes, and the debug cross-check must panic.
 func TestLadderDebugCrossCheckPanicsOnDisagreement(t *testing.T) {
 	LadderDebugCompare.Store(true)
 	t.Cleanup(func() { LadderDebugCompare.Store(false) })
 	m, _, l := captureLadder(t, ModelAtomic, false, 2_000)
 	watchdog := 2*l.Final.Cycles + 1_000_000
 	at := l.Final.Cycles / 3
-	last := (len(l.base.dram) - 1) / mem.PageBytes // top page: never written
-	for _, r := range l.rungs {
-		// Corrupt only rungs past the injection point: the restored rung's
-		// fingerprints (shared with its page image) must stay true or the
-		// comparison would see two identically-corrupted sets agree.
-		if r.Cycle > at {
-			r.diffPages[last>>6] |= 1 << (last & 63)
-			r.pageFP[last] ^= 0xDEADBEEF
-		}
-	}
+	top := DRAMBytes - mem.PageBytes // never written: all zero
+	// The page hasher's first lane folds the page's words 0, 32, 64, ...
+	// as h = (h ^ w) * prime, starting from the state after the length
+	// word. Setting word 0 to 1 and word 32 to the difference of the two
+	// products leaves the lane, and so the fingerprint, unchanged.
+	const fnvPrime = 1099511628211
+	h := mem.NewHasher()
+	h.Word(mem.PageBytes)
+	lane := h.Sum()
+	w32 := (lane * fnvPrime) ^ ((lane ^ 1) * fnvPrime)
 	defer func() {
 		if recover() == nil {
-			t.Fatal("corrupted rung metadata did not trip the debug cross-check")
+			t.Fatal("a page-fingerprint collision did not trip the debug cross-check")
 		}
 	}()
 	m.RunLadderInjection(l, watchdog, at, func() {
 		m.Core().FlipRegFileBit(40)
 		m.Core().FlipRegFileBit(40)
+		m.DRAM.Poke(top, 1)
+		m.DRAM.Poke(top+32, uint32(w32))
+		m.DRAM.Poke(top+36, uint32(w32>>32))
 	})
 }

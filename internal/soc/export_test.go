@@ -35,8 +35,7 @@ func LadderDiff(a, b *Ladder) error {
 		case x.Cycle != y.Cycle || x.Fingerprint != y.Fingerprint || x.microFP != y.microFP ||
 			x.lastBeatAbs != y.lastBeatAbs:
 			return fmt.Errorf("checkpoint %d: cycle %d/%d fingerprint %#x/%#x", i, x.Cycle, y.Cycle, x.Fingerprint, y.Fingerprint)
-		case !reflect.DeepEqual(x.pageFP, y.pageFP) || !reflect.DeepEqual(x.diffPages, y.diffPages) ||
-			!reflect.DeepEqual(x.img, y.img):
+		case !equalImages(x.img, y.img):
 			return fmt.Errorf("checkpoint %d (cycle %d): page image differs", i, x.Cycle)
 		case !x.l1i.Equal(y.l1i) || !x.l1d.Equal(y.l1d) || !x.l2.Equal(y.l2):
 			return fmt.Errorf("checkpoint %d (cycle %d): cache state differs", i, x.Cycle)
@@ -47,4 +46,12 @@ func LadderDiff(a, b *Ladder) error {
 		}
 	}
 	return nil
+}
+
+// equalImages compares two DRAM images byte for byte by restoring one into
+// a scratch DRAM.
+func equalImages(a, b *mem.Image) bool {
+	d := mem.NewDRAM(DRAMBytes)
+	d.Restore(a, 0)
+	return d.EqualPages(b)
 }

@@ -65,7 +65,7 @@ func TestReplayGoldenFusedEqualsSeparatePasses(t *testing.T) {
 			m := wb.Machine
 			var fresh [][3]*mem.CacheState
 			for _, c := range ladder.Checkpoints() {
-				m.RestoreCheckpoint(ladder, c)
+				m.RestoreCheckpoint(c)
 				fresh = append(fresh, [3]*mem.CacheState{m.Mem.L1I.SaveState(), m.Mem.L1D.SaveState(), m.Mem.L2.SaveState()})
 			}
 			wb.Ladder = ladder

@@ -277,10 +277,12 @@ func (m *Machine) RunWithInjection(maxCycles, injectAt uint64, inject func()) Re
 
 // Snapshot is a complete machine state: DRAM, architectural CPU state,
 // cache and TLB content, and device state. It plays the role gem5
-// checkpoints play in the paper's methodology.
+// checkpoints play in the paper's methodology. Its DRAM is a frozen page
+// image, shared copy-on-write with the machine that saved it and with
+// every machine that restores it.
 type Snapshot struct {
 	arch   cpu.ArchState
-	dram   []byte
+	dram   *mem.Image
 	l1i    *mem.CacheState
 	l1d    *mem.CacheState
 	l2     *mem.CacheState
@@ -295,14 +297,15 @@ type Snapshot struct {
 // quiescent point (e.g., right after Boot).
 func (m *Machine) SaveSnapshot() *Snapshot {
 	// Build a coherent DRAM image: overlay dirty lines (L2 first, then the
-	// newer L1D) so a cold restore — which invalidates the caches — does
-	// not lose write-back data such as the kernel's page table.
-	dram := m.DRAM.PeekBytes(0, m.DRAM.Size())
+	// newer L1D) onto a copy-on-write clone so a cold restore — which
+	// invalidates the caches — does not lose write-back data such as the
+	// kernel's page table. The machine's own DRAM keeps its content.
+	dram := m.DRAM.Clone()
 	m.Mem.L2.FlushInto(dram)
 	m.Mem.L1D.FlushInto(dram)
 	return &Snapshot{
 		arch:   m.core.SaveArch(),
-		dram:   dram,
+		dram:   dram.Freeze(),
 		l1i:    m.Mem.L1I.SaveState(),
 		l1d:    m.Mem.L1D.SaveState(),
 		l2:     m.Mem.L2.SaveState(),
@@ -319,9 +322,7 @@ func (m *Machine) SaveSnapshot() *Snapshot {
 // running); with warm=false caches and TLBs come back invalidated, exactly
 // as the paper describes GeFIN resetting the caches on every injection run.
 func (m *Machine) RestoreSnapshot(s *Snapshot, warm bool) {
-	if err := m.DRAM.LoadImage(0, s.dram); err != nil {
-		panic(fmt.Sprintf("soc: snapshot DRAM restore: %v", err))
-	}
+	m.DRAM.Restore(s.dram, 0)
 	if warm {
 		m.Mem.L1I.RestoreState(s.l1i)
 		m.Mem.L1D.RestoreState(s.l1d)
@@ -353,9 +354,7 @@ func (m *Machine) RestartApp(s *Snapshot) {
 	m.Mem.L1I.InvalidateRange(UserTextBase, span)
 	m.Mem.L1D.InvalidateRange(UserTextBase, span)
 	m.Mem.L2.InvalidateRange(UserTextBase, span)
-	if err := m.DRAM.LoadImage(UserTextBase, s.dram[UserTextBase:]); err != nil {
-		panic(fmt.Sprintf("soc: app image restore: %v", err))
-	}
+	m.DRAM.Restore(s.dram, UserTextBase)
 	m.Mem.ITLB.InvalidateAll()
 	m.Mem.DTLB.InvalidateAll()
 	m.SysCtl.ClearHalt()
