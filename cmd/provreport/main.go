@@ -41,7 +41,7 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "provreport:", err)
 		os.Exit(1)
 	}
@@ -63,18 +63,25 @@ type componentReport struct {
 	Deduped int `json:"deduped,omitempty"`
 }
 
-func run() error {
+// run is the command: args without the program name; the report goes to
+// stdout and flag diagnostics to stderr. A path of "-" reads the trace
+// from standard input.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("provreport", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		workload = flag.String("workload", "", "restrict the report to one workload")
-		jsonOut  = flag.String("json", "", "also write the aggregated report as JSON to this file")
+		workload = fs.String("workload", "", "restrict the report to one workload")
+		jsonOut  = fs.String("json", "", "also write the aggregated report as JSON to this file")
 	)
-	flag.Parse()
-	if flag.NArg() != 1 {
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if fs.NArg() != 1 {
 		return fmt.Errorf("usage: provreport [-workload name] [-json out.json] trace.jsonl")
 	}
 
 	var in io.Reader
-	if path := flag.Arg(0); path == "-" {
+	if path := fs.Arg(0); path == "-" {
 		in = os.Stdin
 	} else {
 		f, err := os.Open(path)
@@ -123,7 +130,7 @@ func run() error {
 	if len(rows) == 0 {
 		// A convergence-only trace (campaign run with -target-margin but
 		// without -prov) still has margins worth reporting.
-		if printConvergence(sum, *workload) {
+		if printConvergence(stdout, sum, *workload) {
 			return nil
 		}
 		return fmt.Errorf("trace carries no provenance fields (was the campaign run with -prov?)")
@@ -135,9 +142,9 @@ func run() error {
 		return rows[i].Comp < rows[j].Comp
 	})
 
-	printTables(rows)
-	printSplit(sum, *workload)
-	printConvergence(sum, *workload)
+	printTables(stdout, rows)
+	printSplit(stdout, sum, *workload)
+	printConvergence(stdout, sum, *workload)
 
 	if *jsonOut != "" {
 		data, err := json.MarshalIndent(rows, "", "  ")
@@ -153,7 +160,7 @@ func run() error {
 
 // printTables renders one masking-mechanism table per workload: counts and
 // percentages per component, with a workload-wide total row.
-func printTables(rows []componentReport) {
+func printTables(w io.Writer, rows []componentReport) {
 	mechs := fault.Mechanisms()
 	byWorkload := make(map[string][]componentReport)
 	var names []string
@@ -165,30 +172,30 @@ func printTables(rows []componentReport) {
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		fmt.Printf("Masking mechanisms — %s\n", name)
-		fmt.Printf("  %-10s %8s", "component", "records")
+		fmt.Fprintf(w, "Masking mechanisms — %s\n", name)
+		fmt.Fprintf(w, "  %-10s %8s", "component", "records")
 		for _, m := range mechs {
-			fmt.Printf(" %22s", m)
+			fmt.Fprintf(w, " %22s", m)
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 		total := componentReport{Mechanisms: make(map[fault.Mechanism]int)}
 		for _, r := range byWorkload[name] {
-			fmt.Printf("  %-10s %8d", r.Comp, r.Records)
+			fmt.Fprintf(w, "  %-10s %8d", r.Comp, r.Records)
 			for _, m := range mechs {
-				fmt.Printf(" %12d (%6.2f%%)", r.Mechanisms[m], pct(r.Mechanisms[m], r.Records))
+				fmt.Fprintf(w, " %12d (%6.2f%%)", r.Mechanisms[m], pct(r.Mechanisms[m], r.Records))
 			}
-			fmt.Println()
+			fmt.Fprintln(w)
 			total.Records += r.Records
 			for _, m := range mechs {
 				total.Mechanisms[m] += r.Mechanisms[m]
 			}
 		}
-		fmt.Printf("  %-10s %8d", "total", total.Records)
+		fmt.Fprintf(w, "  %-10s %8d", "total", total.Records)
 		for _, m := range mechs {
-			fmt.Printf(" %12d (%6.2f%%)", total.Mechanisms[m], pct(total.Mechanisms[m], total.Records))
+			fmt.Fprintf(w, " %12d (%6.2f%%)", total.Mechanisms[m], pct(total.Mechanisms[m], total.Records))
 		}
-		fmt.Println()
-		fmt.Println()
+		fmt.Fprintln(w)
+		fmt.Fprintln(w)
 	}
 }
 
@@ -197,7 +204,7 @@ func printTables(rows []componentReport) {
 // injections the ACE pre-filter resolved without simulation (split by
 // predicted mechanism), how many materialized from an equivalence-class
 // representative, and how many actually ran. Silent for plain traces.
-func printSplit(sum *obs.Summary, only string) {
+func printSplit(out io.Writer, sum *obs.Summary, only string) {
 	k, ok := sum.ByKind[obs.KindInjection]
 	if !ok {
 		return
@@ -232,22 +239,22 @@ func printSplit(sum *obs.Summary, only string) {
 			comps = append(comps, comp)
 		}
 		sort.Slice(comps, func(i, j int) bool { return comps[i] < comps[j] })
-		fmt.Printf("Campaign split: predicted vs deduped vs simulated — %s\n", name)
-		fmt.Printf("  %-10s %9s %9s %9s %10s", "component", "predicted", "deduped", "simulated", "sim frac")
+		fmt.Fprintf(out, "Campaign split: predicted vs deduped vs simulated — %s\n", name)
+		fmt.Fprintf(out, "  %-10s %9s %9s %9s %10s", "component", "predicted", "deduped", "simulated", "sim frac")
 		for _, m := range mechs {
-			fmt.Printf(" %22s", m)
+			fmt.Fprintf(out, " %22s", m)
 		}
-		fmt.Println()
+		fmt.Fprintln(out)
 		var tPred, tDedup, tSim int
 		tMech := make(map[fault.Mechanism]int)
 		for _, comp := range comps {
 			c := w.Components[comp]
 			sim := c.Records - c.Predicted - c.Deduped
-			fmt.Printf("  %-10s %9d %9d %9d %9.2f%%", comp, c.Predicted, c.Deduped, sim, pct(sim, c.Records))
+			fmt.Fprintf(out, "  %-10s %9d %9d %9d %9.2f%%", comp, c.Predicted, c.Deduped, sim, pct(sim, c.Records))
 			for _, m := range mechs {
-				fmt.Printf(" %12d (%6.2f%%)", c.PredMechanisms[m], pct(c.PredMechanisms[m], c.Records))
+				fmt.Fprintf(out, " %12d (%6.2f%%)", c.PredMechanisms[m], pct(c.PredMechanisms[m], c.Records))
 			}
-			fmt.Println()
+			fmt.Fprintln(out)
 			tPred += c.Predicted
 			tDedup += c.Deduped
 			tSim += sim
@@ -256,12 +263,12 @@ func printSplit(sum *obs.Summary, only string) {
 			}
 		}
 		total := tPred + tDedup + tSim
-		fmt.Printf("  %-10s %9d %9d %9d %9.2f%%", "total", tPred, tDedup, tSim, pct(tSim, total))
+		fmt.Fprintf(out, "  %-10s %9d %9d %9d %9.2f%%", "total", tPred, tDedup, tSim, pct(tSim, total))
 		for _, m := range mechs {
-			fmt.Printf(" %12d (%6.2f%%)", tMech[m], pct(tMech[m], total))
+			fmt.Fprintf(out, " %12d (%6.2f%%)", tMech[m], pct(tMech[m], total))
 		}
-		fmt.Println()
-		fmt.Println()
+		fmt.Fprintln(out)
+		fmt.Fprintln(out)
 	}
 }
 
@@ -271,7 +278,7 @@ func printSplit(sum *obs.Summary, only string) {
 // every estimator's achieved margin, plus the faults saved by each
 // component the sequential rule stopped early. It reports whether it
 // printed anything.
-func printConvergence(sum *obs.Summary, only string) bool {
+func printConvergence(w io.Writer, sum *obs.Summary, only string) bool {
 	snaps := sum.LastConv()
 	if only != "" {
 		filtered := snaps[:0]
@@ -292,7 +299,7 @@ func printConvergence(sum *obs.Summary, only string) bool {
 			break
 		}
 	}
-	fmt.Println(report.ConvergenceTable("Final convergence estimators (achieved margins)", snaps, judged))
+	fmt.Fprintln(w, report.ConvergenceTable("Final convergence estimators (achieved margins)", snaps, judged))
 	// Faults saved by sequential stopping: the planned-vs-committed gap of
 	// each stopped component, counted once via its Masked-class estimator.
 	saved, planned := 0, 0
@@ -306,7 +313,7 @@ func printConvergence(sum *obs.Summary, only string) bool {
 		}
 	}
 	if saved > 0 {
-		fmt.Printf("sequential early stopping saved %d of %d planned faults (%.1f%%)\n\n", saved, planned, pct(saved, planned))
+		fmt.Fprintf(w, "sequential early stopping saved %d of %d planned faults (%.1f%%)\n\n", saved, planned, pct(saved, planned))
 	}
 	return true
 }

@@ -77,13 +77,14 @@ func (r *Result) Component(c fault.Component) (ComponentEstimate, bool) {
 	return ComponentEstimate{}, false
 }
 
-// Run performs the instrumented golden run for one workload. It needs a
-// single simulation — the methodology's selling point — and returns AVF
-// estimates for the five memory structures (the register file is outside
-// ACE's residency model). The run is the cold liveness replay the
-// campaign pre-filter records: its recorders keep each slot's value
-// lifetimes alongside the event stream, so the estimates come from the
-// same hooks.
+// Run analyses one workload and returns AVF estimates for the five
+// memory structures (the register file is outside ACE's residency
+// model). It performs two simulations: harness.Build's plain golden run,
+// which validates the workload against its native reference, and the
+// cold liveness replay the campaign pre-filter records. The estimates
+// need only the second — the methodology's selling point is a single
+// simulation — whose recorders keep each slot's value lifetimes
+// alongside the event stream, so they come from the same hooks.
 func Run(cfg Config, spec bench.Spec) (*Result, error) {
 	cfg = cfg.withDefaults()
 	wb, err := harness.Build(cfg.Preset, cfg.Model, spec, cfg.Scale)

@@ -24,6 +24,8 @@
 package cpu
 
 import (
+	"unsafe"
+
 	"armsefi/internal/isa"
 	"armsefi/internal/mem"
 )
@@ -35,6 +37,27 @@ import (
 type MicroState struct {
 	atomic   *atomicMicro
 	detailed *detailedMicro
+}
+
+// MemoryBytes reports the memory the snapshot retains (checkpoint-ladder
+// memory accounting): the state itself and every queue and table it
+// copied.
+func (m *MicroState) MemoryBytes() int {
+	n := int(unsafe.Sizeof(*m))
+	if m.atomic != nil {
+		n += int(unsafe.Sizeof(*m.atomic))
+	}
+	if d := m.detailed; d != nil {
+		n += int(unsafe.Sizeof(*d)) +
+			cap(d.prf)*int(unsafe.Sizeof(physReg{})) +
+			cap(d.freeList)*int(unsafe.Sizeof(int(0))) +
+			(cap(d.fetchQ)+cap(d.rob))*int(unsafe.Sizeof(uop{})) +
+			(cap(d.iq)+cap(d.executing))*int(unsafe.Sizeof(int32(0))) +
+			cap(d.fuBusy)*int(unsafe.Sizeof(uint64(0))) +
+			cap(d.predictor) +
+			cap(d.btb)*int(unsafe.Sizeof(btbEntry{}))
+	}
+	return n
 }
 
 // ------------------------------------------------------------- atomic ---

@@ -1,7 +1,6 @@
 package mem
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 )
@@ -35,13 +34,13 @@ func (c CacheConfig) Validate() error {
 // Sets returns the number of sets implied by the geometry.
 func (c CacheConfig) Sets() uint32 { return c.SizeBytes / c.LineBytes / uint32(c.Ways) }
 
-// cacheLine is one way of one set, including the stored data bits.
-type cacheLine struct {
+// lineMeta is the tag-array state of one way of one set; the line's data
+// bits live in the cache's flat data array.
+type lineMeta struct {
 	valid bool
 	dirty bool
 	tag   uint32
 	lru   uint64 // last-touched tick, larger is more recent
-	data  []byte
 }
 
 // CacheStats counts cache events for the performance-counter comparison of
@@ -72,9 +71,13 @@ type Backing interface {
 // replacement that stores real data bits. It implements Backing so caches
 // stack into a hierarchy.
 type Cache struct {
-	cfg     CacheConfig
-	sets    uint32
-	lines   [][]cacheLine // [set][way]
+	cfg  CacheConfig
+	sets uint32
+	// meta holds every line's tag-array state, set-major (set*Ways +
+	// way); data holds the data bits in the same order, LineBytes per
+	// line — exactly the FlipDataBit addressing.
+	meta    []lineMeta
+	data    []byte
 	below   Backing
 	tick    uint64
 	stats   CacheStats
@@ -82,10 +85,10 @@ type Cache struct {
 	offBits uint
 	setBits uint
 
-	// Packed mirror of each line's tag and valid bit, indexed set-major
-	// (set*Ways + way). The lookup hot path scans these contiguous arrays
-	// instead of striding across the much larger cacheLine structs; every
-	// tag/valid mutation goes through syncMirror to keep them coherent.
+	// Packed mirror of each line's tag and valid bit, indexed like meta.
+	// The lookup hot path scans these contiguous arrays instead of
+	// striding across the larger lineMeta structs; every tag/valid
+	// mutation goes through syncMirror to keep them coherent.
 	mirTags  []uint32
 	mirValid []bool
 
@@ -96,6 +99,10 @@ type Cache struct {
 	taintSet   uint32
 	taintWay   int
 	taintOff   uint32
+
+	// kinds is SaveStateAgainst's per-set scratch, kept between saves so
+	// a save allocates only what it stores.
+	kinds []uint8
 }
 
 var _ Backing = (*Cache)(nil)
@@ -109,34 +116,37 @@ func NewCache(cfg CacheConfig, below Backing) *Cache {
 	c := &Cache{cfg: cfg, sets: cfg.Sets(), below: below}
 	c.offBits = log2(cfg.LineBytes)
 	c.setBits = log2(c.sets)
-	c.lines = make([][]cacheLine, c.sets)
-	for s := range c.lines {
-		ways := make([]cacheLine, cfg.Ways)
-		for w := range ways {
-			ways[w].data = make([]byte, cfg.LineBytes)
-		}
-		c.lines[s] = ways
-	}
-	c.mirTags = make([]uint32, int(c.sets)*cfg.Ways)
-	c.mirValid = make([]bool, int(c.sets)*cfg.Ways)
+	lines := int(c.sets) * cfg.Ways
+	c.meta = make([]lineMeta, lines)
+	c.data = make([]byte, lines*int(cfg.LineBytes))
+	c.mirTags = make([]uint32, lines)
+	c.mirValid = make([]bool, lines)
 	return c
+}
+
+// line returns the tag-array state of way w of set.
+func (c *Cache) line(set uint32, w int) *lineMeta { return &c.meta[int(set)*c.cfg.Ways+w] }
+
+// lineData returns the data bits of way w of set.
+func (c *Cache) lineData(set uint32, w int) []byte {
+	lb := int(c.cfg.LineBytes)
+	i := (int(set)*c.cfg.Ways + w) * lb
+	return c.data[i : i+lb : i+lb]
 }
 
 // syncMirror refreshes the packed tag/valid mirror of one way; call after
 // any mutation of a line's tag or valid bit.
 func (c *Cache) syncMirror(set uint32, w int) {
-	ln := &c.lines[set][w]
 	i := int(set)*c.cfg.Ways + w
-	c.mirTags[i] = ln.tag
-	c.mirValid[i] = ln.valid
+	c.mirTags[i] = c.meta[i].tag
+	c.mirValid[i] = c.meta[i].valid
 }
 
 // syncMirrorAll rebuilds the whole mirror (bulk restores).
 func (c *Cache) syncMirrorAll() {
-	for s := range c.lines {
-		for w := range c.lines[s] {
-			c.syncMirror(uint32(s), w)
-		}
+	for i := range c.meta {
+		c.mirTags[i] = c.meta[i].tag
+		c.mirValid[i] = c.meta[i].valid
 	}
 }
 
@@ -189,8 +199,8 @@ func (c *Cache) lookup(tag, set uint32) int {
 // victim picks the LRU way of a set.
 func (c *Cache) victim(set uint32) int {
 	best, bestTick := 0, ^uint64(0)
-	for w := range c.lines[set] {
-		ln := &c.lines[set][w]
+	base := int(set) * c.cfg.Ways
+	for w, ln := range c.meta[base : base+c.cfg.Ways] {
 		if !ln.valid {
 			return w
 		}
@@ -211,7 +221,8 @@ func (c *Cache) lineAddr(tag, set uint32) uint32 {
 // access succeeded.
 func (c *Cache) fill(tag, set uint32, addr uint32) (int, int, bool) {
 	w := c.victim(set)
-	ln := &c.lines[set][w]
+	ln := c.line(set, w)
+	data := c.lineData(set, w)
 	lat := 0
 	if c.rec != nil && ln.valid {
 		c.rec.evict(set, w, ln.dirty)
@@ -226,7 +237,7 @@ func (c *Cache) fill(tag, set uint32, addr uint32) (int, int, bool) {
 	}
 	if ln.valid && ln.dirty {
 		wbAddr := c.lineAddr(ln.tag, set)
-		wbLat, ok := c.below.WriteBackLine(wbAddr, ln.data)
+		wbLat, ok := c.below.WriteBackLine(wbAddr, data)
 		lat += wbLat
 		if !ok {
 			return w, lat, false
@@ -247,7 +258,7 @@ func (c *Cache) fill(tag, set uint32, addr uint32) (int, int, bool) {
 		probe.NoteCleanEvict(c.cfg.Name)
 		probe = nil
 	}
-	fLat, ok := c.below.FetchLine(addr&^(c.cfg.LineBytes-1), ln.data)
+	fLat, ok := c.below.FetchLine(addr&^(c.cfg.LineBytes-1), data)
 	lat += fLat
 	if !ok {
 		ln.valid = false
@@ -289,11 +300,12 @@ func (c *Cache) access(addr uint32, buf []byte, write bool) (int, bool) {
 			return lat, false
 		}
 	}
-	ln := &c.lines[set][w]
+	ln := c.line(set, w)
+	data := c.lineData(set, w)
 	c.tick++
 	ln.lru = c.tick
 	if write {
-		copy(ln.data[off:], buf)
+		copy(data[off:], buf)
 		ln.dirty = true
 		if c.rec != nil {
 			c.rec.access(set, w, off, uint32(len(buf)), true)
@@ -303,7 +315,7 @@ func (c *Cache) access(addr uint32, buf []byte, write bool) (int, bool) {
 			c.ClearTaint()
 		}
 	} else {
-		copy(buf, ln.data[off:int(off)+len(buf)])
+		copy(buf, data[off:int(off)+len(buf)])
 		if c.rec != nil {
 			c.rec.access(set, w, off, uint32(len(buf)), false)
 		}
@@ -354,10 +366,9 @@ func (c *Cache) FetchLine(addr uint32, buf []byte) (int, bool) {
 			return lat, false
 		}
 	}
-	ln := &c.lines[set][w]
 	c.tick++
-	ln.lru = c.tick
-	copy(buf, ln.data)
+	c.line(set, w).lru = c.tick
+	copy(buf, c.lineData(set, w))
 	if c.rec != nil {
 		c.rec.access(set, w, 0, c.cfg.LineBytes, false)
 	}
@@ -386,10 +397,10 @@ func (c *Cache) WriteBackLine(addr uint32, buf []byte) (int, bool) {
 			return lat, false
 		}
 	}
-	ln := &c.lines[set][w]
+	ln := c.line(set, w)
 	c.tick++
 	ln.lru = c.tick
-	copy(ln.data, buf)
+	copy(c.lineData(set, w), buf)
 	ln.dirty = true
 	if c.rec != nil {
 		c.rec.access(set, w, 0, c.cfg.LineBytes, true)
@@ -406,21 +417,19 @@ func (c *Cache) WriteBackLine(addr uint32, buf []byte) (int, bool) {
 // the platform resets between fault-injection runs.
 func (c *Cache) InvalidateAll() {
 	if p := c.taintProbe; p != nil {
-		if c.lines[c.taintSet][c.taintWay].valid {
+		if c.line(c.taintSet, c.taintWay).valid {
 			p.NoteCleanEvict(c.cfg.Name)
 		}
 		c.ClearTaint()
 	}
-	for s := range c.lines {
-		for w := range c.lines[s] {
-			if c.rec != nil && c.lines[s][w].valid {
-				// Invalidation discards dirty data without writeback: a
-				// clean-discard event, matching the probe's verdict.
-				c.rec.evict(uint32(s), w, false)
-			}
-			c.lines[s][w].valid = false
-			c.lines[s][w].dirty = false
+	for i := range c.meta {
+		if c.rec != nil && c.meta[i].valid {
+			// Invalidation discards dirty data without writeback: a
+			// clean-discard event, matching the probe's verdict.
+			c.rec.evict(uint32(i/c.cfg.Ways), i%c.cfg.Ways, false)
 		}
+		c.meta[i].valid = false
+		c.meta[i].dirty = false
 	}
 	for i := range c.mirValid {
 		c.mirValid[i] = false
@@ -434,32 +443,31 @@ func (c *Cache) InvalidateAll() {
 
 // FlushAll writes every dirty line back and invalidates the cache.
 func (c *Cache) FlushAll() {
-	for s := range c.lines {
-		for w := range c.lines[s] {
-			ln := &c.lines[s][w]
-			if c.rec != nil && ln.valid {
-				c.rec.evict(uint32(s), w, ln.dirty)
-			}
-			if ln.valid && ln.dirty {
-				wbAddr := c.lineAddr(ln.tag, uint32(s))
-				c.below.WriteBackLine(wbAddr, ln.data)
-				if c.taintAt(uint32(s), w) {
-					p, off := c.taintProbe, c.taintOff
-					c.ClearTaint()
-					p.NoteWriteback(c.cfg.Name)
-					if abs, ok := c.below.(taintAbsorber); ok {
-						abs.AbsorbTaint(wbAddr+off, p)
-					}
-				}
-			} else if c.taintAt(uint32(s), w) {
-				if ln.valid {
-					c.taintProbe.NoteCleanEvict(c.cfg.Name)
-				}
-				c.ClearTaint()
-			}
-			ln.valid = false
-			ln.dirty = false
+	for i := range c.meta {
+		ln := &c.meta[i]
+		s, w := uint32(i/c.cfg.Ways), i%c.cfg.Ways
+		if c.rec != nil && ln.valid {
+			c.rec.evict(s, w, ln.dirty)
 		}
+		if ln.valid && ln.dirty {
+			wbAddr := c.lineAddr(ln.tag, s)
+			c.below.WriteBackLine(wbAddr, c.lineData(s, w))
+			if c.taintAt(s, w) {
+				p, off := c.taintProbe, c.taintOff
+				c.ClearTaint()
+				p.NoteWriteback(c.cfg.Name)
+				if abs, ok := c.below.(taintAbsorber); ok {
+					abs.AbsorbTaint(wbAddr+off, p)
+				}
+			}
+		} else if c.taintAt(s, w) {
+			if ln.valid {
+				c.taintProbe.NoteCleanEvict(c.cfg.Name)
+			}
+			c.ClearTaint()
+		}
+		ln.valid = false
+		ln.dirty = false
 	}
 	for i := range c.mirValid {
 		c.mirValid[i] = false
@@ -473,12 +481,7 @@ func (c *Cache) FlushAll() {
 // line-offset order. The flip lands whether or not the line is valid, just
 // as a particle strike does; an invalid or later-refilled line masks it.
 func (c *Cache) FlipDataBit(bit uint64) {
-	lineBits := uint64(c.cfg.LineBytes) * 8
-	wayBits := lineBits * uint64(c.cfg.Ways)
-	set := bit / wayBits % uint64(c.sets)
-	way := bit % wayBits / lineBits
-	off := bit % lineBits
-	c.lines[set][way].data[off/8] ^= 1 << (off % 8)
+	c.data[bit/8%uint64(len(c.data))] ^= 1 << (bit % 8)
 }
 
 // taintAt reports whether the tainted line is (set, w).
@@ -496,7 +499,7 @@ func (c *Cache) TaintDataBit(bit uint64, p *Probe) {
 	c.taintSet = uint32(bit / wayBits % uint64(c.sets))
 	c.taintWay = int(bit % wayBits / lineBits)
 	c.taintOff = uint32(bit % lineBits / 8)
-	p.Arm(c.lines[c.taintSet][c.taintWay].valid)
+	p.Arm(c.line(c.taintSet, c.taintWay).valid)
 }
 
 // ClearTaint drops any tracked taint without emitting an event.
@@ -523,11 +526,9 @@ func (c *Cache) AbsorbTaint(addr uint32, p *Probe) {
 // ValidLines returns how many lines currently hold valid data.
 func (c *Cache) ValidLines() int {
 	n := 0
-	for s := range c.lines {
-		for w := range c.lines[s] {
-			if c.lines[s][w].valid {
-				n++
-			}
+	for i := range c.meta {
+		if c.meta[i].valid {
+			n++
 		}
 	}
 	return n
@@ -536,11 +537,9 @@ func (c *Cache) ValidLines() int {
 // DirtyLines returns how many lines are valid and dirty.
 func (c *Cache) DirtyLines() int {
 	n := 0
-	for s := range c.lines {
-		for w := range c.lines[s] {
-			if c.lines[s][w].valid && c.lines[s][w].dirty {
-				n++
-			}
+	for i := range c.meta {
+		if c.meta[i].valid && c.meta[i].dirty {
+			n++
 		}
 	}
 	return n
@@ -561,7 +560,7 @@ func (c *Cache) FlipTagBit(bit uint64) {
 	line := bit / perLine
 	set := line / uint64(c.cfg.Ways) % uint64(c.sets)
 	way := line % uint64(c.cfg.Ways)
-	c.lines[set][way].tag ^= 1 << (bit % perLine)
+	c.line(uint32(set), int(way)).tag ^= 1 << (bit % perLine)
 	c.syncMirror(uint32(set), int(way))
 }
 
@@ -570,150 +569,20 @@ func (c *Cache) TotalTagBits() uint64 {
 	return uint64(c.sets) * uint64(c.cfg.Ways) * uint64(c.TagBits())
 }
 
-// CacheState is a deep copy of a cache's content, captured by Machine
-// snapshots (the gem5-checkpoint analogue) and checkpoint-ladder rungs.
-// It is immutable once saved: RestoreState copies out of it, so a set
-// shared by consecutive rung states is never written through.
-type CacheState struct {
-	lines [][]cacheLine
-	tick  uint64
-	stats CacheStats
-	// owned / shared split the retained line bytes into sets this state
-	// copied and sets it shares with the state it was saved against.
-	owned  int
-	shared int
-}
-
-// lineOverhead is the accounted per-line bookkeeping beyond the data
-// bytes (checkpoint-ladder memory accounting).
-const lineOverhead = 48
-
-// SaveState deep-copies the cache content.
-func (c *Cache) SaveState() *CacheState { return c.SaveStateAgainst(nil) }
-
-// SaveStateAgainst captures the cache content like SaveState, but every
-// set whose ways all equal the same set of prev — valid, dirty, tag, LRU
-// stamp and data bytes — is shared with prev instead of copied:
-// byte-verified interning with no dirty-set tracking in the access path.
-// prev must come from a cache of the same geometry; nil copies every set.
-func (c *Cache) SaveStateAgainst(prev *CacheState) *CacheState {
-	st := &CacheState{tick: c.tick, stats: c.stats}
-	st.lines = make([][]cacheLine, len(c.lines))
-	if len(c.lines) == 0 {
-		return st
-	}
-	nways := len(c.lines[0])
-	lineBytes := len(c.lines[0][0].data)
-	setBytes := nways * (lineBytes + lineOverhead)
-	changed := len(c.lines)
-	if prev != nil {
-		for s := range c.lines {
-			if setsEqual(c.lines[s], prev.lines[s]) {
-				st.lines[s] = prev.lines[s]
-				st.shared += setBytes
-				changed--
-			}
-		}
-	}
-	// The geometry is uniform, so one backing array serves every copied
-	// set and one byte buffer every copied line: three allocations per
-	// save instead of two per set — the checkpoint ladder saves caches
-	// thousands of times per campaign.
-	ways := make([]cacheLine, changed*nways)
-	buf := make([]byte, changed*nways*lineBytes)
-	for s := range c.lines {
-		if st.lines[s] != nil {
-			continue
-		}
-		set := ways[:nways:nways]
-		ways = ways[nways:]
-		for w := range c.lines[s] {
-			set[w] = c.lines[s][w]
-			data := buf[:lineBytes:lineBytes]
-			buf = buf[lineBytes:]
-			copy(data, c.lines[s][w].data)
-			set[w].data = data
-		}
-		st.lines[s] = set
-		st.owned += setBytes
-	}
-	return st
-}
-
-// setsEqual reports whether two sets hold identical ways, cheap fields
-// first so a touched set is usually rejected before any data compare.
-func setsEqual(a, b []cacheLine) bool {
-	for w := range a {
-		x, y := &a[w], &b[w]
-		if x.valid != y.valid || x.dirty != y.dirty || x.tag != y.tag || x.lru != y.lru {
-			return false
-		}
-	}
-	for w := range a {
-		if !bytes.Equal(a[w].data, b[w].data) {
-			return false
-		}
-	}
-	return true
-}
-
-// RestoreState restores content captured by SaveState on a cache with the
-// same geometry.
-func (c *Cache) RestoreState(st *CacheState) {
-	for s := range c.lines {
-		for w := range c.lines[s] {
-			src := st.lines[s][w]
-			dst := &c.lines[s][w]
-			data := dst.data
-			copy(data, src.data)
-			*dst = src
-			dst.data = data
-		}
-	}
-	c.tick = st.tick
-	c.stats = st.stats
-	c.syncMirrorAll()
-}
-
-// Equal reports whether two saved states hold identical content: tick,
-// statistics and every way of every set, whether copied or shared.
-func (st *CacheState) Equal(o *CacheState) bool {
-	if st.tick != o.tick || st.stats != o.stats || len(st.lines) != len(o.lines) {
-		return false
-	}
-	for s := range st.lines {
-		if len(st.lines[s]) != len(o.lines[s]) || !setsEqual(st.lines[s], o.lines[s]) {
-			return false
-		}
-	}
-	return true
-}
-
-// MemoryBytes estimates the retained size of the saved content
-// (checkpoint-ladder memory accounting). Sets shared with the state this
-// one was saved against are counted by the state that owns them — see
-// SharedBytes.
-func (st *CacheState) MemoryBytes() int { return st.owned }
-
-// SharedBytes returns the line bytes this state shares with the state it
-// was saved against instead of copying.
-func (st *CacheState) SharedBytes() int { return st.shared }
-
 // FlushInto overlays every valid dirty line onto dst without disturbing
 // cache state or raising probe events. Machine snapshots use it to build a
 // coherent DRAM image in a copy-on-write clone while the caches keep their
 // (possibly dirty) content.
 func (c *Cache) FlushInto(dst *DRAM) {
-	for s := range c.lines {
-		for w := range c.lines[s] {
-			ln := &c.lines[s][w]
-			if !ln.valid || !ln.dirty {
-				continue
-			}
-			addr := c.lineAddr(ln.tag, uint32(s))
-			if dst.Contains(addr, uint32(len(ln.data))) {
-				dst.write(addr, ln.data)
-			}
+	for i := range c.meta {
+		ln := &c.meta[i]
+		if !ln.valid || !ln.dirty {
+			continue
+		}
+		s, w := uint32(i/c.cfg.Ways), i%c.cfg.Ways
+		addr := c.lineAddr(ln.tag, s)
+		if dst.Contains(addr, c.cfg.LineBytes) {
+			dst.write(addr, c.lineData(s, w))
 		}
 	}
 }
@@ -722,25 +591,24 @@ func (c *Cache) FlushInto(dst *DRAM) {
 // in [base, base+size). Used when a fresh application image is loaded into
 // DRAM underneath a live cache hierarchy.
 func (c *Cache) InvalidateRange(base, size uint32) {
-	for s := range c.lines {
-		for w := range c.lines[s] {
-			ln := &c.lines[s][w]
-			if !ln.valid {
-				continue
+	for i := range c.meta {
+		ln := &c.meta[i]
+		if !ln.valid {
+			continue
+		}
+		s, w := uint32(i/c.cfg.Ways), i%c.cfg.Ways
+		addr := c.lineAddr(ln.tag, s)
+		if addr >= base && addr < base+size {
+			if c.rec != nil {
+				c.rec.evict(s, w, false)
 			}
-			addr := c.lineAddr(ln.tag, uint32(s))
-			if addr >= base && addr < base+size {
-				if c.rec != nil {
-					c.rec.evict(uint32(s), w, false)
-				}
-				if c.taintAt(uint32(s), w) {
-					c.taintProbe.NoteCleanEvict(c.cfg.Name)
-					c.ClearTaint()
-				}
-				ln.valid = false
-				ln.dirty = false
-				c.syncMirror(uint32(s), w)
+			if c.taintAt(s, w) {
+				c.taintProbe.NoteCleanEvict(c.cfg.Name)
+				c.ClearTaint()
 			}
+			ln.valid = false
+			ln.dirty = false
+			c.syncMirror(s, w)
 		}
 	}
 }
@@ -753,19 +621,16 @@ func (c *Cache) LineInfo(bit uint64) (addr uint32, valid, dirty bool) {
 	wayBits := lineBits * uint64(c.cfg.Ways)
 	set := uint32(bit / wayBits % uint64(c.sets))
 	way := int(bit % wayBits / lineBits)
-	ln := &c.lines[set][way]
+	ln := c.line(set, way)
 	return c.lineAddr(ln.tag, set), ln.valid, ln.dirty
 }
 
 // VisitValidLines calls fn for every valid line with its physical address
 // and dirty state; used for cache-residency profiling.
 func (c *Cache) VisitValidLines(fn func(addr uint32, dirty bool)) {
-	for s := range c.lines {
-		for w := range c.lines[s] {
-			ln := &c.lines[s][w]
-			if ln.valid {
-				fn(c.lineAddr(ln.tag, uint32(s)), ln.dirty)
-			}
+	for i := range c.meta {
+		if ln := &c.meta[i]; ln.valid {
+			fn(c.lineAddr(ln.tag, uint32(i/c.cfg.Ways)), ln.dirty)
 		}
 	}
 }

@@ -11,23 +11,24 @@ import (
 // machine-visible semantics are first-match.
 func checkMirror(t *testing.T, c *Cache) {
 	t.Helper()
-	for s := range c.lines {
-		for w := range c.lines[s] {
-			i := s*c.cfg.Ways + w
-			if c.mirTags[i] != c.lines[s][w].tag || c.mirValid[i] != c.lines[s][w].valid {
-				t.Fatalf("mirror out of sync at set %d way %d: mirror (%#x,%v) line (%#x,%v)",
-					s, w, c.mirTags[i], c.mirValid[i], c.lines[s][w].tag, c.lines[s][w].valid)
-			}
+	ways := c.cfg.Ways
+	for i := range c.meta {
+		if c.mirTags[i] != c.meta[i].tag || c.mirValid[i] != c.meta[i].valid {
+			t.Fatalf("mirror out of sync at set %d way %d: mirror (%#x,%v) line (%#x,%v)",
+				i/ways, i%ways, c.mirTags[i], c.mirValid[i], c.meta[i].tag, c.meta[i].valid)
 		}
+	}
+	for s := 0; s < int(c.sets); s++ {
+		set := c.meta[s*ways : (s+1)*ways]
 		// Reference first-match scan over the line array itself.
-		for w := range c.lines[s] {
-			ln := &c.lines[s][w]
+		for w := range set {
+			ln := &set[w]
 			if !ln.valid {
 				continue
 			}
 			want := -1
-			for v := range c.lines[s] {
-				if c.lines[s][v].valid && c.lines[s][v].tag == ln.tag {
+			for v := range set {
+				if set[v].valid && set[v].tag == ln.tag {
 					want = v
 					break
 				}
@@ -107,12 +108,12 @@ func TestSaveStateAgainstInternsUntouchedSets(t *testing.T) {
 	touched := uint32(2)
 	c.Write(3<<10|touched<<c.offBits, 4, 0xDEADBEEF)
 	st := c.SaveStateAgainst(prev)
-	setBytes := full / len(c.lines)
+	setBytes := full / len(st.sets)
 	if st.MemoryBytes() != setBytes || st.SharedBytes() != full-setBytes {
 		t.Fatalf("owned %d shared %d, want %d and %d", st.MemoryBytes(), st.SharedBytes(), setBytes, full-setBytes)
 	}
-	for s := range st.lines {
-		shared := &st.lines[s][0] == &prev.lines[s][0]
+	for s := range st.sets {
+		shared := st.sets[s] == prev.sets[s]
 		if shared == (uint32(s) == touched) {
 			t.Fatalf("set %d: shared=%v, touched set is %d", s, shared, touched)
 		}

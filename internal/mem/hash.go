@@ -98,31 +98,28 @@ func (s *Hasher) Sum() uint64 { return s.h }
 func (c *Cache) HashLive(h *Hasher) {
 	var bm uint64
 	nbit := 0
-	for s := range c.lines {
-		for w := range c.lines[s] {
-			if c.lines[s][w].valid {
-				bm |= 1 << nbit
-			}
-			if nbit++; nbit == 64 {
-				h.Word(bm)
-				bm, nbit = 0, 0
-			}
+	for i := range c.meta {
+		if c.meta[i].valid {
+			bm |= 1 << nbit
+		}
+		if nbit++; nbit == 64 {
+			h.Word(bm)
+			bm, nbit = 0, 0
 		}
 	}
 	if nbit > 0 {
 		h.Word(bm)
 	}
-	for s := range c.lines {
-		for w := range c.lines[s] {
-			ln := &c.lines[s][w]
-			if !ln.valid {
-				continue
-			}
-			h.Word32(ln.tag)
-			h.Bool(ln.dirty)
-			h.Word(ln.lru)
-			h.Bytes(ln.data)
+	lb := int(c.cfg.LineBytes)
+	for i := range c.meta {
+		ln := &c.meta[i]
+		if !ln.valid {
+			continue
 		}
+		h.Word32(ln.tag)
+		h.Bool(ln.dirty)
+		h.Word(ln.lru)
+		h.Bytes(c.data[i*lb : (i+1)*lb])
 	}
 	h.Word(c.tick)
 }

@@ -25,7 +25,6 @@ package mem
 import (
 	"fmt"
 	"math"
-	"sort"
 	"unsafe"
 )
 
@@ -89,10 +88,13 @@ type liveEvent struct {
 // liveGen is one value generation of a slot: content installed at stamp
 // birth (-1 for content already present when recording started), cleared
 // at stamp death (MaxUint64 while still live), holding the line at addr.
+// next chains a way's generations in the recorder's gens slab (1-based,
+// 0 ends the chain); it fills what would otherwise be padding.
 type liveGen struct {
 	birth int64
 	death uint64
 	addr  uint32
+	next  int32
 }
 
 // liveEventCap bounds the per-way count of logical notes — one per
@@ -103,15 +105,42 @@ type liveGen struct {
 // point independent of the encoding.
 const liveEventCap = 16384
 
-// liveWay is the recording of one cache way or TLB entry: its event
-// stream and generations for the pre-filter, and its current value's
-// lifetime for ACE analysis.
+// liveBlockLen events plus the chain link fill one 256-byte liveBlock.
+const liveBlockLen = 31
+
+// liveBlock is one fixed-size block of a way's event stream. A way's
+// blocks are chained in recording order and every block but the last is
+// full, so an event is written once and never copied: the stream grows a
+// block at a time instead of by slice doubling.
+type liveBlock struct {
+	ev   [liveBlockLen]liveEvent
+	next *liveBlock
+}
+
+// liveWay is the recording of one cache way or TLB entry, created the
+// first time the way is touched: its event stream and generations for
+// the pre-filter, and its current value's lifetime for ACE analysis.
 type liveWay struct {
-	events   []liveEvent
-	gens     []liveGen
-	notes    int32
-	overflow bool
-	life     valueLife
+	head, tail *liveBlock
+	tailLen    int32 // events used in tail
+	notes      int32
+	// gens and lastGen are the 1-based indexes of the way's first and
+	// last generation in the recorder's gens slab; 0 means none.
+	gens, lastGen int32
+	life          valueLife
+	overflow      bool
+}
+
+// untouchedWay is the recording of every way no event or generation ever
+// reached. Queries only read it.
+var untouchedWay liveWay
+
+// blockEvents returns the used events of b, one of w's blocks.
+func (w *liveWay) blockEvents(b *liveBlock) []liveEvent {
+	if b == w.tail {
+		return b.ev[:w.tailLen]
+	}
+	return b.ev[:]
 }
 
 // note records one event. A note that continues the previous event — same
@@ -128,66 +157,97 @@ func (w *liveWay) note(stamp uint32, kind, lo, hi uint8) {
 		return
 	}
 	w.notes++
-	if n := len(w.events); n > 0 {
-		if p := &w.events[n-1]; p.stamp == stamp && p.kind == kind && p.hi == lo {
+	if w.tail != nil {
+		if p := &w.tail.ev[w.tailLen-1]; p.stamp == stamp && p.kind == kind && p.hi == lo {
 			p.hi = hi
 			return
 		}
 	}
-	w.events = append(w.events, liveEvent{stamp: stamp, kind: kind, lo: lo, hi: hi})
+	if w.tail == nil || w.tailLen == liveBlockLen {
+		b := new(liveBlock)
+		if w.tail == nil {
+			w.head = b
+		} else {
+			w.tail.next = b
+		}
+		w.tail, w.tailLen = b, 0
+	}
+	w.tail.ev[w.tailLen] = liveEvent{stamp: stamp, kind: kind, lo: lo, hi: hi}
+	w.tailLen++
 }
 
-func (w *liveWay) open(stamp int64, addr uint32) {
-	w.gens = append(w.gens, liveGen{birth: stamp, death: math.MaxUint64, addr: addr})
+// open begins a generation of w at stamp, holding the line at addr.
+func (r *liveRecorder) open(w *liveWay, stamp int64, addr uint32) {
+	r.gens = append(r.gens, liveGen{birth: stamp, death: math.MaxUint64, addr: addr})
+	g := int32(len(r.gens))
+	if w.lastGen == 0 {
+		w.gens = g
+	} else {
+		r.gens[w.lastGen-1].next = g
+	}
+	w.lastGen = g
 }
 
-func (w *liveWay) close(stamp uint64) {
-	if n := len(w.gens); n > 0 && w.gens[n-1].death == math.MaxUint64 {
-		w.gens[n-1].death = stamp
+// close clears w's live generation, if any, at stamp.
+func (r *liveRecorder) close(w *liveWay, stamp uint64) {
+	if w.lastGen != 0 && r.gens[w.lastGen-1].death == math.MaxUint64 {
+		r.gens[w.lastGen-1].death = stamp
 	}
 }
 
-// query classifies a flip of byteOff at cycle flipAt against the way's
+// query classifies a flip of byteOff at cycle flipAt against way w's
 // recording. Shared by the cache and TLB paths: only the event kinds each
 // recorder emits differ.
-func (w *liveWay) query(byteOff uint8, flipAt uint64) LiveQuery {
+func (r *liveRecorder) query(w *liveWay, byteOff uint8, flipAt uint64) LiveQuery {
 	if w.overflow {
 		return LiveQuery{}
 	}
-	// The generation live at the flip: born strictly before it, cleared
-	// at or after it (a clearing event stamped == flipAt runs after the
-	// injection fires, so the flip still hits this generation).
-	gi := sort.Search(len(w.gens), func(i int) bool { return w.gens[i].birth >= int64(flipAt) }) - 1
-	if gi < 0 || flipAt > w.gens[gi].death {
+	// The generation live at the flip: the last one born strictly before
+	// it (births never decrease along the chain), cleared at or after it
+	// (a clearing event stamped == flipAt runs after the injection fires,
+	// so the flip still hits this generation).
+	var gen *liveGen
+	for g := w.gens; g != 0 && r.gens[g-1].birth < int64(flipAt); g = r.gens[g-1].next {
+		gen = &r.gens[g-1]
+	}
+	if gen == nil || flipAt > gen.death {
 		return LiveQuery{Verdict: LiveNeverRead}
 	}
-	gen := w.gens[gi]
 	q := LiveQuery{Valid: true, LineAddr: gen.addr}
-	ei := sort.Search(len(w.events), func(i int) bool { return uint64(w.events[i].stamp) >= flipAt })
-	for ; ei < len(w.events); ei++ {
-		ev := w.events[ei]
-		covers := ev.lo <= byteOff && byteOff < ev.hi
-		switch ev.kind {
-		case liveRead:
-			if covers {
-				return q // consumed: undecided
+	// Stamps never decrease along the stream, so a block whose last event
+	// precedes the flip is skipped whole.
+	for b := w.head; b != nil; b = b.next {
+		evs := w.blockEvents(b)
+		if uint64(evs[len(evs)-1].stamp) < flipAt {
+			continue
+		}
+		for _, ev := range evs {
+			if uint64(ev.stamp) < flipAt {
+				continue
 			}
-		case liveWrite:
-			if covers {
+			covers := ev.lo <= byteOff && byteOff < ev.hi
+			switch ev.kind {
+			case liveRead:
+				if covers {
+					return q // consumed: undecided
+				}
+			case liveWrite:
+				if covers {
+					q.Verdict = LiveOverwritten
+					return q
+				}
+			case liveFill:
+				// The generation's own death event always precedes its
+				// slot's refill, so this is defensive — and a full refill
+				// overwrites every byte regardless.
 				q.Verdict = LiveOverwritten
 				return q
+			case liveEvictClean:
+				q.Verdict = LiveEvictedClean
+				return q
+			case liveEvictDirty:
+				return q // corruption migrated below: undecided
 			}
-		case liveFill:
-			// The generation's own death event always precedes its
-			// slot's refill, so this is defensive — and a full refill
-			// overwrites every byte regardless.
-			q.Verdict = LiveOverwritten
-			return q
-		case liveEvictClean:
-			q.Verdict = LiveEvictedClean
-			return q
-		case liveEvictDirty:
-			return q // corruption migrated below: undecided
 		}
 	}
 	q.Verdict = LiveLatent
@@ -204,22 +264,25 @@ func (w *liveWay) query(byteOff uint8, flipAt uint64) LiveQuery {
 // either flip, at which instant its state is golden-plus-flip in both
 // cases. ok is false when the recording overflowed (window membership
 // would be a guess).
-func (w *liveWay) windowOf(byteOff uint8, flipAt uint64) (win int, sig uint64, ok bool) {
+func (r *liveRecorder) windowOf(w *liveWay, byteOff uint8, flipAt uint64) (win int, sig uint64, ok bool) {
 	if w.overflow {
 		return 0, 0, false
 	}
 	sig = sigInit
-	for _, ev := range w.events {
-		if ev.lo > byteOff || byteOff >= ev.hi {
-			continue
+	for b := w.head; b != nil; b = b.next {
+		for _, ev := range w.blockEvents(b) {
+			if ev.lo > byteOff || byteOff >= ev.hi {
+				continue
+			}
+			if uint64(ev.stamp) < flipAt {
+				win++
+			}
+			sig = sigFold(sig, uint64(ev.stamp), uint64(ev.kind)<<16|uint64(ev.lo)<<8|uint64(ev.hi))
 		}
-		if uint64(ev.stamp) < flipAt {
-			win++
-		}
-		sig = sigFold(sig, uint64(ev.stamp), uint64(ev.kind)<<16|uint64(ev.lo)<<8|uint64(ev.hi))
 	}
-	for _, g := range w.gens {
-		sig = sigFold(sig, uint64(g.birth), g.death^uint64(g.addr))
+	for g := w.gens; g != 0; g = r.gens[g-1].next {
+		gen := &r.gens[g-1]
+		sig = sigFold(sig, uint64(gen.birth), gen.death^uint64(gen.addr))
 	}
 	return win, sig, true
 }
@@ -235,20 +298,22 @@ func (w *liveWay) enumWindows(byteOff uint8, maxCycle uint64, fn func(start, wid
 		return false
 	}
 	start := uint64(0)
-	for _, ev := range w.events {
-		if ev.lo > byteOff || byteOff >= ev.hi {
-			continue
-		}
-		// The window ends at the event's stamp inclusive: an injection at
-		// cycle F lands before every event stamped >= F, so flips at the
-		// stamp itself still precede the event.
-		end := uint64(ev.stamp) + 1
-		if end > maxCycle {
-			end = maxCycle
-		}
-		if end > start {
-			fn(start, end-start)
-			start = end
+	for b := w.head; b != nil; b = b.next {
+		for _, ev := range w.blockEvents(b) {
+			if ev.lo > byteOff || byteOff >= ev.hi {
+				continue
+			}
+			// The window ends at the event's stamp inclusive: an injection
+			// at cycle F lands before every event stamped >= F, so flips at
+			// the stamp itself still precede the event.
+			end := uint64(ev.stamp) + 1
+			if end > maxCycle {
+				end = maxCycle
+			}
+			if end > start {
+				fn(start, end-start)
+				start = end
+			}
 		}
 	}
 	if maxCycle > start {
@@ -302,16 +367,41 @@ func (l *valueLife) span(now uint64, writeback bool) uint64 {
 // --- Shared recorder -------------------------------------------------------
 
 // liveRecorder is the state CacheLiveness and TLBLiveness share: the
-// stamp clock, one recording per way or entry, and the running ACE
-// totals. The totals and the per-way value lifetimes are kept whatever
-// the event cap, so ACE estimates never depend on overflow.
+// stamp clock, a dense per-way index into the recordings of the ways
+// touched so far, the generations slab, and the running ACE totals. Most
+// ways of a large cache are never touched by a short run, so a way costs
+// four bytes until its first event or generation. The totals and the
+// per-way value lifetimes are kept whatever the event cap, so ACE
+// estimates never depend on overflow.
 type liveRecorder struct {
 	clock *uint64
-	ways  []liveWay
+	idx   []int32   // per way or entry: 1-based index into recs, 0 = untouched
+	recs  []liveWay // recordings, in order of first touch
+	gens  []liveGen // every way's generations, chained per way
 
 	aceCycles   uint64 // entry-cycles of closed values' ACE residency
 	valuesTotal uint64 // values installed
 	valuesRead  uint64 // values read at least once
+}
+
+// touch returns way i's recording, creating it on first touch. The
+// pointer is valid until another way's first touch.
+func (r *liveRecorder) touch(i int) *liveWay {
+	if j := r.idx[i]; j != 0 {
+		return &r.recs[j-1]
+	}
+	r.recs = append(r.recs, liveWay{})
+	r.idx[i] = int32(len(r.recs))
+	return &r.recs[len(r.recs)-1]
+}
+
+// find returns way i's recording for a query: untouchedWay if the way
+// was never touched.
+func (r *liveRecorder) find(i uint64) *liveWay {
+	if j := r.idx[i]; j != 0 {
+		return &r.recs[j-1]
+	}
+	return &untouchedWay
 }
 
 // now returns the current event stamp. Stamps are stored in 32 bits; a
@@ -362,37 +452,40 @@ func (r *liveRecorder) retire(w *liveWay, now uint32, writeback bool) {
 // ones as if written back — they would be. The recording is not modified,
 // so a shared log can be asked repeatedly.
 func (r *liveRecorder) ACE(cycles uint64) (avf float64, total, read uint64) {
-	if cycles == 0 || len(r.ways) == 0 {
+	if cycles == 0 || len(r.idx) == 0 {
 		return 0, r.valuesTotal, r.valuesRead
 	}
 	ace := r.aceCycles
-	for i := range r.ways {
-		if l := &r.ways[i].life; l.valid {
+	for i := range r.recs { // an untouched way holds no value
+		if l := &r.recs[i].life; l.valid {
 			ace += l.span(cycles-1, l.dirty)
 		}
 	}
-	return float64(ace) / (float64(cycles) * float64(len(r.ways))), r.valuesTotal, r.valuesRead
+	return float64(ace) / (float64(cycles) * float64(len(r.idx))), r.valuesTotal, r.valuesRead
 }
 
 // Overflowed reports how many ways hit the event cap (their faults
 // classify undecided).
 func (r *liveRecorder) Overflowed() int {
 	n := 0
-	for i := range r.ways {
-		if r.ways[i].overflow {
+	for i := range r.recs {
+		if r.recs[i].overflow {
 			n++
 		}
 	}
 	return n
 }
 
-// EventBytes reports the memory the recording's event streams retain.
+// EventBytes reports the memory the recording's event streams retain:
+// every allocated event block, whole.
 func (r *liveRecorder) EventBytes() int {
 	n := 0
-	for i := range r.ways {
-		n += cap(r.ways[i].events)
+	for i := range r.recs {
+		for b := r.recs[i].head; b != nil; b = b.next {
+			n++
+		}
 	}
-	return n * int(unsafe.Sizeof(liveEvent{}))
+	return n * int(unsafe.Sizeof(liveBlock{}))
 }
 
 // --- Cache recorder --------------------------------------------------------
@@ -416,16 +509,14 @@ func (c *Cache) AttachLiveness(clock *uint64) *CacheLiveness {
 		panic(fmt.Sprintf("mem: cache %q: %d-byte lines exceed the liveness event range", c.cfg.Name, c.cfg.LineBytes))
 	}
 	r := &CacheLiveness{
-		liveRecorder: liveRecorder{clock: clock, ways: make([]liveWay, int(c.sets)*c.cfg.Ways)},
+		liveRecorder: liveRecorder{clock: clock, idx: make([]int32, len(c.meta))},
 		nways:        c.cfg.Ways,
 		sets:         uint64(c.sets),
 		lineBytes:    uint64(c.cfg.LineBytes),
 	}
-	for s := range c.lines {
-		for w := range c.lines[s] {
-			if c.lines[s][w].valid {
-				r.ways[s*c.cfg.Ways+w].open(-1, c.lineAddr(c.lines[s][w].tag, uint32(s)))
-			}
+	for i := range c.meta {
+		if ln := &c.meta[i]; ln.valid {
+			r.open(r.touch(i), -1, c.lineAddr(ln.tag, uint32(i/c.cfg.Ways)))
 		}
 	}
 	c.rec = r
@@ -436,27 +527,27 @@ func (c *Cache) AttachLiveness(clock *uint64) *CacheLiveness {
 func (c *Cache) DetachLiveness() { c.rec = nil }
 
 func (r *CacheLiveness) evict(set uint32, way int, dirty bool) {
-	w := &r.ways[int(set)*r.nways+way]
+	w := r.touch(int(set)*r.nways + way)
 	now := r.now()
 	kind := liveEvictClean
 	if dirty {
 		kind = liveEvictDirty
 	}
 	w.note(now, kind, 0, uint8(r.lineBytes))
-	w.close(uint64(now))
+	r.close(w, uint64(now))
 	r.retire(w, now, dirty)
 }
 
 func (r *CacheLiveness) fill(set uint32, way int, addr uint32) {
-	w := &r.ways[int(set)*r.nways+way]
+	w := r.touch(int(set)*r.nways + way)
 	now := r.now()
 	w.note(now, liveFill, 0, uint8(r.lineBytes))
-	w.open(int64(now), addr)
+	r.open(w, int64(now), addr)
 	r.install(w, now, false)
 }
 
 func (r *CacheLiveness) access(set uint32, way int, off, n uint32, write bool) {
-	w := &r.ways[int(set)*r.nways+way]
+	w := r.touch(int(set)*r.nways + way)
 	now := r.now()
 	if write {
 		w.note(now, liveWrite, uint8(off), uint8(off+n))
@@ -474,14 +565,14 @@ func (r *CacheLiveness) way(bit uint64) (*liveWay, uint8) {
 	wayBits := lineBits * uint64(r.nways)
 	set := bit / wayBits % r.sets
 	way := bit % wayBits / lineBits
-	return &r.ways[set*uint64(r.nways)+way], uint8(bit % lineBits / 8)
+	return r.find(set*uint64(r.nways) + way), uint8(bit % lineBits / 8)
 }
 
 // QueryBit classifies a data-array flip (FlipDataBit addressing) at cycle
 // flipAt against the recording.
 func (r *CacheLiveness) QueryBit(bit uint64, flipAt uint64) LiveQuery {
 	w, off := r.way(bit)
-	return w.query(off, flipAt)
+	return r.query(w, off, flipAt)
 }
 
 // WindowOf returns the quiescent-window index containing flipAt for a
@@ -490,7 +581,7 @@ func (r *CacheLiveness) QueryBit(bit uint64, flipAt uint64) LiveQuery {
 // sig); ok is false when the way's recording overflowed.
 func (r *CacheLiveness) WindowOf(bit, flipAt uint64) (window int, sig uint64, ok bool) {
 	w, off := r.way(bit)
-	return w.windowOf(off, flipAt)
+	return r.windowOf(w, off, flipAt)
 }
 
 // EnumWindows walks a data-array bit's quiescent windows over cycles
@@ -514,12 +605,12 @@ type TLBLiveness struct {
 // Cache.AttachLiveness.
 func (t *TLB) AttachLiveness(clock *uint64) *TLBLiveness {
 	r := &TLBLiveness{
-		liveRecorder: liveRecorder{clock: clock, ways: make([]liveWay, len(t.entries))},
+		liveRecorder: liveRecorder{clock: clock, idx: make([]int32, len(t.entries))},
 		entries:      uint64(len(t.entries)),
 	}
 	for i := range t.entries {
 		if t.entries[i].Valid() {
-			r.ways[i].open(-1, 0)
+			r.open(r.touch(i), -1, 0)
 		}
 	}
 	t.rec = r
@@ -530,26 +621,26 @@ func (t *TLB) AttachLiveness(clock *uint64) *TLBLiveness {
 func (t *TLB) DetachLiveness() { t.rec = nil }
 
 func (r *TLBLiveness) read(i int) {
-	w := &r.ways[i]
+	w := r.touch(i)
 	now := r.now()
 	w.note(now, liveRead, 0, TLBEntryBits)
 	r.consume(w, now)
 }
 
 func (r *TLBLiveness) insert(i int) {
-	w := &r.ways[i]
+	w := r.touch(i)
 	now := r.now()
 	w.note(now, liveFill, 0, TLBEntryBits)
-	w.close(uint64(now))
-	w.open(int64(now), 0)
+	r.close(w, uint64(now))
+	r.open(w, int64(now), 0)
 	r.install(w, now, false)
 }
 
 func (r *TLBLiveness) invalidate(i int) {
-	w := &r.ways[i]
+	w := r.touch(i)
 	now := r.now()
 	w.note(now, liveEvictClean, 0, TLBEntryBits)
-	w.close(uint64(now))
+	r.close(w, uint64(now))
 	r.retire(w, now, false)
 }
 
@@ -565,7 +656,7 @@ func (r *TLBLiveness) entry(bit uint64) (w *liveWay, b uint8, ok bool) {
 	if off < tlbPPNShift || off >= tlbValidBit {
 		return nil, 0, false
 	}
-	return &r.ways[bit/TLBEntryBits%r.entries], uint8(off), true
+	return r.find(bit / TLBEntryBits % r.entries), uint8(off), true
 }
 
 // QueryBit classifies a TLB flip (FlipBit addressing) at cycle flipAt.
@@ -576,7 +667,7 @@ func (r *TLBLiveness) QueryBit(bit uint64, flipAt uint64) LiveQuery {
 	if !ok {
 		return LiveQuery{}
 	}
-	q := w.query(b, flipAt)
+	q := r.query(w, b, flipAt)
 	q.LineAddr = 0 // TLB entries carry no owning line address
 	return q
 }
@@ -590,7 +681,7 @@ func (r *TLBLiveness) WindowOf(bit, flipAt uint64) (window int, sig uint64, ok b
 	if !ok {
 		return 0, 0, false
 	}
-	return w.windowOf(b, flipAt)
+	return r.windowOf(w, b, flipAt)
 }
 
 // EnumWindows walks a TLB entry bit's quiescent windows over cycles

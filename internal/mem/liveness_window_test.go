@@ -6,6 +6,15 @@ import (
 	"testing"
 )
 
+// wayEvents collects a way's recorded event stream across its blocks.
+func wayEvents(w *liveWay) []liveEvent {
+	var evs []liveEvent
+	for b := w.head; b != nil; b = b.next {
+		evs = append(evs, w.blockEvents(b)...)
+	}
+	return evs
+}
+
 // enumOf collects a bit's quiescent windows as (start, width) pairs.
 func enumOf(t *testing.T, enum func(uint64, uint64, func(start, width uint64)) bool, bit, maxCycle uint64) [][2]uint64 {
 	t.Helper()
@@ -194,7 +203,7 @@ func TestLivenessCoalescing(t *testing.T) {
 	now = 11
 	c.Read(24, 4) // contiguous with nothing at stamp 11: a new event
 
-	w := &r.ways[0]
+	w := r.find(0)
 	want := []liveEvent{
 		{stamp: 5, lo: 0, hi: 32, kind: liveFill},
 		{stamp: 5, lo: 24, hi: 28, kind: liveRead},
@@ -204,8 +213,8 @@ func TestLivenessCoalescing(t *testing.T) {
 		{stamp: 10, lo: 20, hi: 24, kind: liveWrite},
 		{stamp: 11, lo: 24, hi: 28, kind: liveRead},
 	}
-	if !reflect.DeepEqual(w.events, want) || w.notes != 8 {
-		t.Fatalf("events %+v (notes %d), want %+v (notes 8)", w.events, w.notes, want)
+	if got := wayEvents(w); !reflect.DeepEqual(got, want) || w.notes != 8 {
+		t.Fatalf("events %+v (notes %d), want %+v (notes 8)", got, w.notes, want)
 	}
 	// Byte 12 lies in the gap: no read covers it, the flip stays latent
 	// and no event separates flips at 6 and 11.
@@ -239,8 +248,8 @@ func TestOverflowCountsNotes(t *testing.T) {
 	for i := 0; i < liveEventCap-1; i++ {
 		c.Read(uint32(i%8)*4, 4)
 	}
-	if r.Overflowed() != 0 || len(r.ways[0].events) != 1+liveEventCap/8 {
-		t.Fatalf("overflowed %d, %d events after %d notes", r.Overflowed(), len(r.ways[0].events), liveEventCap)
+	if n := len(wayEvents(r.find(0))); r.Overflowed() != 0 || n != 1+liveEventCap/8 {
+		t.Fatalf("overflowed %d, %d events after %d notes", r.Overflowed(), n, liveEventCap)
 	}
 	c.Read(0, 4)
 	if r.Overflowed() != 1 {
@@ -254,7 +263,7 @@ func TestLivenessStampRange(t *testing.T) {
 	now := uint64(math.MaxUint32)
 	c, r := liveCache(&now)
 	c.Read(0, 4)
-	if got := r.ways[0].events[1].stamp; got != math.MaxUint32 {
+	if got := wayEvents(r.find(0))[1].stamp; got != math.MaxUint32 {
 		t.Fatalf("stamp %d, want %d", got, uint32(math.MaxUint32))
 	}
 	now++

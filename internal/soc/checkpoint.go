@@ -118,16 +118,16 @@ func (l *Ladder) Rungs() int { return len(l.rungs) }
 func (l *Ladder) EffectiveEvery() uint64 { return l.every }
 
 // MemoryBytes estimates the ladder's retained memory: DRAM pages the
-// post-boot snapshot does not hold and the rungs' page tables, owned
-// cache sets, TLB copies, UART backlogs, and fixed per-rung bookkeeping.
-// A page or cache set several rungs share is counted once — see
-// SharedBytes for the saving.
+// post-boot snapshot does not hold and the rungs' page tables, core
+// micro-states, cache set contents and per-set indexes, TLB copies, UART
+// backlogs, and fixed per-rung bookkeeping. A page or cache set several
+// rungs share is counted once — see SharedBytes for the saving.
 func (l *Ladder) MemoryBytes() int {
 	total, _ := mem.ImageBytes(l.base.dram, l.images())
 	for _, c := range l.checkpoints() {
-		total += len(c.uart) + 1024
+		total += len(c.uart) + 1024 + c.micro.MemoryBytes()
 		for _, cs := range []*mem.CacheState{c.l1i, c.l1d, c.l2} {
-			total += cs.MemoryBytes()
+			total += cs.MemoryBytes() + cs.IndexBytes()
 		}
 		for _, ts := range []*mem.TLBState{c.itlb, c.dtlb} {
 			total += ts.MemoryBytes()
