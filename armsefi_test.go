@@ -23,7 +23,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cls := wb.RunFault(Fault{Comp: CompL1D, Bit: 3, Cycle: wb.Golden.Cycles / 2})
+	cls, _, _, _ := wb.RunFaultLadder(Fault{Comp: CompL1D, Bit: 3, Cycle: wb.Golden.Cycles / 2}, false)
 	if cls < Masked || cls > SysCrash {
 		t.Fatalf("class %v", cls)
 	}

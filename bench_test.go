@@ -472,13 +472,7 @@ func avfOf(wb *harness.Workbench, rng *rand.Rand, comp fault.Component, n int, w
 			Bit:   uint64(rng.Int63n(int64(size))),
 			Cycle: uint64(rng.Int63n(int64(wb.Golden.Cycles))),
 		}
-		var cls fault.Class
-		if warm {
-			cls = wb.RunFaultWarm(f)
-		} else {
-			cls = wb.RunFault(f)
-		}
-		if cls != fault.ClassMasked {
+		if cls, _, _, _ := wb.RunFaultLadder(f, warm); cls != fault.ClassMasked {
 			bad++
 		}
 	}

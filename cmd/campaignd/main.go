@@ -32,8 +32,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
@@ -48,33 +50,44 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	err := run(ctx, os.Args[1:], os.Stdout, os.Stderr)
+	stop()
+	if err != nil && !errors.Is(err, flag.ErrHelp) {
 		fmt.Fprintln(os.Stderr, "campaignd:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+// run is the daemon: args without the program name. It serves until ctx
+// is cancelled, then drains and returns. Status lines and flag
+// diagnostics go to stderr; stdout stays unused, as the daemon has no
+// report, and is taken only to match the other commands' run.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("campaignd", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		storeDir     = flag.String("store", "", "campaign store directory (coordinator mode; required)")
-		addr         = flag.String("addr", ":8440", "HTTP listen address (coordinator mode)")
-		coordinator  = flag.String("coordinator", "", "remote coordinator URL (worker mode)")
-		node         = flag.String("node", "", "worker node name (default: hostname-pid)")
-		workers      = flag.Int("workers", 0, "local worker loops (0 in coordinator mode = API only)")
-		maxActive    = flag.Int("max-active", serve.DefaultMaxActive, "campaigns admitted concurrently")
-		leaseTTL     = flag.Duration("lease-ttl", serve.DefaultLeaseTTL, "shard lease TTL before requeue")
-		straggler    = flag.Duration("straggler-after", 0, "flag a shard execution as a straggler after this long (0 = 3x lease TTL)")
-		stalled      = flag.Duration("stalled-after", serve.DefaultStalledAfter, "flag a quiet node as stalled after this long")
-		tracePath    = flag.String("trace", "", "write a local JSONL trace of shard scheduling and injections")
-		metricsAddr  = flag.String("metrics-addr", "", "serve a standalone /metrics endpoint on this address")
-		telemEvery   = flag.Duration("telemetry-every", time.Second, "worker telemetry batch interval (0 disables federation)")
-		poll         = flag.Duration("poll", 200*time.Millisecond, "worker idle poll interval")
-		targetMargin = flag.Float64("target-margin", 0,
+		storeDir     = fs.String("store", "", "campaign store directory (coordinator mode; required)")
+		addr         = fs.String("addr", ":8440", "HTTP listen address (coordinator mode)")
+		coordinator  = fs.String("coordinator", "", "remote coordinator URL (worker mode)")
+		node         = fs.String("node", "", "worker node name (default: hostname-pid)")
+		workers      = fs.Int("workers", 0, "local worker loops (0 in coordinator mode = API only)")
+		maxActive    = fs.Int("max-active", serve.DefaultMaxActive, "campaigns admitted concurrently")
+		leaseTTL     = fs.Duration("lease-ttl", serve.DefaultLeaseTTL, "shard lease TTL before requeue")
+		straggler    = fs.Duration("straggler-after", 0, "flag a shard execution as a straggler after this long (0 = 3x lease TTL)")
+		stalled      = fs.Duration("stalled-after", serve.DefaultStalledAfter, "flag a quiet node as stalled after this long")
+		tracePath    = fs.String("trace", "", "write a local JSONL trace of shard scheduling and injections")
+		metricsAddr  = fs.String("metrics-addr", "", "serve a standalone /metrics endpoint on this address")
+		telemEvery   = fs.Duration("telemetry-every", time.Second, "worker telemetry batch interval (0 disables federation)")
+		poll         = fs.Duration("poll", 200*time.Millisecond, "worker idle poll interval")
+		targetMargin = fs.Float64("target-margin", 0,
 			"coordinator view rule: judge merged convergence views of campaigns that set no target margin of their own against this half-width (0 leaves them unjudged)")
-		confidence = flag.Float64("confidence", 0,
+		confidence = fs.Float64("confidence", 0,
 			"confidence level of the coordinator view rule and its reported margins (0 = 0.99)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	if *node == "" {
 		host, _ := os.Hostname()
@@ -83,9 +96,6 @@ func run() error {
 		}
 		*node = fmt.Sprintf("%s-%d", host, os.Getpid())
 	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 
 	ocli, err := obs.SetupCLI(*tracePath, *metricsAddr)
 	if err != nil {
@@ -152,7 +162,7 @@ func run() error {
 	}
 	srv := &http.Server{Handler: serve.Handler(coord, observer.Registry())}
 	go srv.Serve(lis)
-	fmt.Fprintf(os.Stderr, "campaignd: serving on %s, store %s (dashboard at /fleet)\n", lis.Addr(), *storeDir)
+	fmt.Fprintf(stderr, "campaignd: serving on %s, store %s (dashboard at /fleet)\n", lis.Addr(), *storeDir)
 
 	var pool *sched.Pool
 	var shipper *serve.Shipper
@@ -180,7 +190,7 @@ func run() error {
 	}
 
 	<-ctx.Done()
-	fmt.Fprintln(os.Stderr, "campaignd: draining (in-flight shards finish, new claims stop)")
+	fmt.Fprintln(stderr, "campaignd: draining (in-flight shards finish, new claims stop)")
 	err = <-workerErr // workers observe ctx, stop claiming, finish in-flight
 	if shipper != nil {
 		if derr := shipper.Drain(); derr != nil && err == nil {

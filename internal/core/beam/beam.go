@@ -146,10 +146,7 @@ type Config struct {
 	// Verify simulates every strike while still computing the
 	// sequential cuts, then emits the truncated re-weighted result: a
 	// verify run's Workloads are byte-identical to a genuinely stopped
-	// run's, which is how tests cross-check the prefix property. It also
-	// sets soc.LadderDebugCompare (process-wide, sticky), cross-checking
-	// every incremental ladder convergence verdict against the exact
-	// full-image comparison.
+	// run's, which is how tests cross-check the prefix property.
 	Verify bool
 	// Provenance attaches a propagation-provenance probe to every strike:
 	// the struck location is tainted at strike time and traced records
@@ -198,13 +195,6 @@ func (c Config) withDefaults() Config {
 		if c.StopCheckEvery == 0 {
 			c.StopCheckEvery = DefaultStopCheckEvery
 		}
-	}
-	if c.Verify {
-		// Verify also cross-checks the ladder: every incremental DRAM
-		// convergence verdict against the full-image comparison. One-way:
-		// never cleared here, so concurrent campaigns without Verify
-		// cannot race a verifying campaign's setting away.
-		soc.LadderDebugCompare.Store(true)
 	}
 	c.Workers = sched.Resolve(c.Workers)
 	return c

@@ -85,6 +85,9 @@ func prepareWorkbench(cfg Config, spec bench.Spec) (*harness.Workbench, error) {
 	if err != nil {
 		return nil, fmt.Errorf("gefin: %w", err)
 	}
+	// Verify cross-checks every ladder convergence verdict of this
+	// campaign's machines; clones inherit the setting.
+	wb.Machine.LadderCrossCheck = cfg.Verify
 	// One instrumented golden replay per workload captures the ladder and
 	// records the liveness log the pre-filter, the equivalence-class
 	// partitioner and the exhaustive enumerator classify against, as
@@ -121,76 +124,48 @@ func planFor(cfg Config, wb *harness.Workbench, name string) ([]plannedFault, []
 // trace context (campaign/shard/node/span) onto emitted records; the
 // zero context stamps nothing.
 func execPlanned(cfg Config, wb *harness.Workbench, workload string, probe *mem.Probe, p plannedFault, worker int, tc obs.TraceContext) outcome {
-	var o outcome
-	switch {
-	case cfg.Provenance:
-		// The probe runs even without an observer, so the determinism
-		// contract (Results byte-identical with provenance on or off) is
-		// exercised by the probe itself, not by tracing.
-		start := time.Now()
-		class, ctx, raw, ls := wb.RunFaultProv(p.f, cfg.WarmCaches, probe)
-		stop := time.Now()
-		o = outcome{class: class, valid: ctx.LineValid, kernel: ctx.KernelOwned(), cycles: raw.Cycles, outstr: raw.Outcome.String()}
-		if probe.Armed() {
-			o.mech = fault.MechanismOf(class, raw, probe)
-		}
-		if cfg.Obs.On() {
-			cfg.Obs.LadderRun(ls)
-			rec := obs.Record{
-				Kind:       obs.KindInjection,
-				Workload:   workload,
-				Comp:       p.f.Comp,
-				Bit:        p.f.Bit,
-				Cycle:      p.f.Cycle,
-				Worker:     worker,
-				ExecCycles: raw.Cycles,
-				Outcome:    raw.Outcome.String(),
-				Class:      class,
-				Valid:      ctx.LineValid,
-				Kernel:     ctx.KernelOwned(),
-				FFCycles:   ls.FastForwarded,
-				EarlyExit:  ls.EarlyExit,
-			}
-			if probe.Armed() {
-				cfg.Obs.Mechanism(workload, p.f.Comp, o.mech)
-				rec.Mechanism = o.mech.String()
-				if ev, ok := probe.FirstRead(); ok {
-					rec.ReadCycle, rec.ReadPC, rec.ReadReg = ev.Cycle, ev.PC, ev.Reg
-				}
-				rec.ProvEvents = append([]mem.ProbeEvent(nil), probe.Events()...)
-				rec.ProvDropped = probe.Dropped()
-				rec.DivergedAt, rec.ConvergedAt = ls.DivergedAt, ls.ConvergedAt
-			}
-			tc.Stamp(&rec)
-			cfg.Obs.Record(rec, start, stop)
-		}
-	case cfg.Obs.On():
-		start := time.Now()
-		class, ctx, raw, ls := wb.RunFaultLadder(p.f, cfg.WarmCaches)
-		stop := time.Now()
-		o = outcome{class: class, valid: ctx.LineValid, kernel: ctx.KernelOwned(), cycles: raw.Cycles, outstr: raw.Outcome.String()}
-		cfg.Obs.LadderRun(ls)
-		rec := obs.Record{
-			Kind:       obs.KindInjection,
-			Workload:   workload,
-			Comp:       p.f.Comp,
-			Bit:        p.f.Bit,
-			Cycle:      p.f.Cycle,
-			Worker:     worker,
-			ExecCycles: raw.Cycles,
-			Outcome:    raw.Outcome.String(),
-			Class:      class,
-			Valid:      ctx.LineValid,
-			Kernel:     ctx.KernelOwned(),
-			FFCycles:   ls.FastForwarded,
-			EarlyExit:  ls.EarlyExit,
-		}
-		tc.Stamp(&rec)
-		cfg.Obs.Record(rec, start, stop)
-	default:
-		class, ctx, raw, _ := wb.RunFaultLadder(p.f, cfg.WarmCaches)
-		o = outcome{class: class, valid: ctx.LineValid, kernel: ctx.KernelOwned(), cycles: raw.Cycles, outstr: raw.Outcome.String()}
+	// The probe (non-nil with provenance on) runs even without an
+	// observer, so the determinism contract (Results byte-identical with
+	// provenance on or off) is exercised by the probe itself, not by
+	// tracing.
+	start := time.Now()
+	class, ctx, raw, ls := wb.RunFaultProv(p.f, cfg.WarmCaches, probe)
+	stop := time.Now()
+	o := outcome{class: class, valid: ctx.LineValid, kernel: ctx.KernelOwned(), cycles: raw.Cycles, outstr: raw.Outcome.String()}
+	if probe.Armed() {
+		o.mech = fault.MechanismOf(class, raw, probe)
 	}
+	if !cfg.Obs.On() {
+		return o
+	}
+	cfg.Obs.LadderRun(ls)
+	rec := obs.Record{
+		Kind:       obs.KindInjection,
+		Workload:   workload,
+		Comp:       p.f.Comp,
+		Bit:        p.f.Bit,
+		Cycle:      p.f.Cycle,
+		Worker:     worker,
+		ExecCycles: raw.Cycles,
+		Outcome:    o.outstr,
+		Class:      class,
+		Valid:      o.valid,
+		Kernel:     o.kernel,
+		FFCycles:   ls.FastForwarded,
+		EarlyExit:  ls.EarlyExit,
+	}
+	if probe.Armed() {
+		cfg.Obs.Mechanism(workload, p.f.Comp, o.mech)
+		rec.Mechanism = o.mech.String()
+		if ev, ok := probe.FirstRead(); ok {
+			rec.ReadCycle, rec.ReadPC, rec.ReadReg = ev.Cycle, ev.PC, ev.Reg
+		}
+		rec.ProvEvents = append([]mem.ProbeEvent(nil), probe.Events()...)
+		rec.ProvDropped = probe.Dropped()
+		rec.DivergedAt, rec.ConvergedAt = ls.DivergedAt, ls.ConvergedAt
+	}
+	tc.Stamp(&rec)
+	cfg.Obs.Record(rec, start, stop)
 	return o
 }
 

@@ -120,10 +120,10 @@ type Config struct {
 	// member against its representative — and any disagreement fails the
 	// campaign naming the slot. Sequential cuts are still computed but
 	// never applied, so a verify run's Workloads are byte-identical to a
-	// genuinely stopped run's. It also sets soc.LadderDebugCompare
-	// (process-wide, sticky), cross-checking every incremental ladder
-	// convergence verdict against the exact full-image comparison. Slow;
-	// it turns on neither Prune nor Dedup.
+	// genuinely stopped run's. It also sets the campaign's machines'
+	// soc.Machine.LadderCrossCheck, cross-checking every incremental
+	// ladder convergence verdict against the exact full-image
+	// comparison. Slow; it turns on neither Prune nor Dedup.
 	Verify bool
 	// Provenance attaches a propagation-provenance probe to every
 	// injection: the struck location is tainted at flip time, the memory
@@ -164,13 +164,6 @@ func (c Config) withDefaults() Config {
 		if c.StopCheckEvery == 0 {
 			c.StopCheckEvery = DefaultStopCheckEvery
 		}
-	}
-	if c.Verify {
-		// Verify also cross-checks the ladder: every incremental DRAM
-		// convergence verdict against the full-image comparison. One-way:
-		// never cleared here, so concurrent campaigns without Verify
-		// cannot race a verifying campaign's setting away.
-		soc.LadderDebugCompare.Store(true)
 	}
 	c.Workers = sched.Resolve(c.Workers)
 	return c

@@ -272,7 +272,7 @@ func TestPageTableLineStrikeIsNeverBenign(t *testing.T) {
 	if !found {
 		t.Fatal("page-table line not resident in warm L1D — boot path changed?")
 	}
-	cls, ctx := wb.RunFaultDetail(fault.Fault{Comp: fault.CompL1D, Bit: target, Cycle: 0}, true)
+	cls, ctx, _, _ := wb.RunFaultLadder(fault.Fault{Comp: fault.CompL1D, Bit: target, Cycle: 0}, true)
 	if !ctx.LineValid || !ctx.KernelOwned() {
 		t.Fatalf("context = %+v, want live kernel-owned line", ctx)
 	}

@@ -206,19 +206,25 @@ func TestVerifyCatchesCorruptDedup(t *testing.T) {
 	}, slot)
 }
 
-// TestVerifyEnablesLadderCrossCheck: Verify turns on the ladder's
-// full-image convergence cross-check; a campaign without it leaves the
-// setting alone.
+// TestVerifyEnablesLadderCrossCheck: Verify turns on the exact ladder
+// convergence cross-check on the campaign's own machines — the prepared
+// workbench and its clones — and a campaign without it leaves its
+// machines unchecked, whatever ran earlier in the process.
 func TestVerifyEnablesLadderCrossCheck(t *testing.T) {
-	prev := soc.LadderDebugCompare.Load()
-	t.Cleanup(func() { soc.LadderDebugCompare.Store(prev) })
-	soc.LadderDebugCompare.Store(false)
-	Config{}.withDefaults()
-	if soc.LadderDebugCompare.Load() {
-		t.Fatal("a campaign without Verify enabled the ladder cross-check")
-	}
-	Config{Verify: true}.withDefaults()
-	if !soc.LadderDebugCompare.Load() {
-		t.Fatal("Verify did not enable the ladder cross-check")
+	spec, _ := bench.ByName("crc32")
+	for _, verify := range []bool{true, false} {
+		cfg := Config{FaultsPerComponent: 1, CheckpointEvery: soc.DefaultCheckpointEvery, Verify: verify}.withDefaults()
+		wb, err := prepareWorkbench(cfg, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		clone, err := wb.Clone()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if wb.Machine.LadderCrossCheck != verify || clone.Machine.LadderCrossCheck != verify {
+			t.Fatalf("Verify=%v: cross-check on the workbench %v, on its clone %v",
+				verify, wb.Machine.LadderCrossCheck, clone.Machine.LadderCrossCheck)
+		}
 	}
 }

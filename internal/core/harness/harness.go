@@ -137,6 +137,7 @@ func (w *Workbench) Clone() (*Workbench, error) {
 	if err := m.Boot(BootBudget); err != nil {
 		return nil, fmt.Errorf("harness: clone: %w", err)
 	}
+	m.LadderCrossCheck = w.Machine.LadderCrossCheck
 	return &Workbench{
 		Machine:  m,
 		Built:    w.Built,
@@ -231,61 +232,17 @@ func (w *Workbench) Instrument(every uint64, max int, live, warm bool) error {
 	return nil
 }
 
-// RunFault restores the cold snapshot (caches reset, as GeFIN does on every
-// experiment), injects the fault at its cycle, runs to completion or
-// watchdog, and classifies the outcome.
-func (w *Workbench) RunFault(f fault.Fault) fault.Class {
-	return w.runFault(f, false)
-}
-
-// RunFaultWarm is the warm-cache ablation: injection runs start from the
-// live post-boot cache state instead of reset caches.
-func (w *Workbench) RunFaultWarm(f fault.Fault) fault.Class {
-	return w.runFault(f, true)
-}
-
-func (w *Workbench) runFault(f fault.Fault, warm bool) fault.Class {
-	cls, _ := w.RunFaultDetail(f, warm)
-	return cls
-}
-
-// RunFaultDetail runs one fault and additionally reports what it struck
-// (resolved at the injection instant): live vs idle content, kernel vs
-// user ownership — the injector-side observability of Section IV-C.
-func (w *Workbench) RunFaultDetail(f fault.Fault, warm bool) (fault.Class, fault.Context) {
-	cls, ctx, _ := w.RunFaultFull(f, warm)
-	return cls, ctx
-}
-
-// RunFaultFull runs one fault like RunFaultDetail and additionally
-// returns the raw machine-level result (outcome, cycle count, output) —
-// the per-injection record the observability trace captures before
-// host-side classification collapses it to a class. When a matching
-// ladder is installed the run goes through it transparently; the Result
-// is bit-identical either way.
-func (w *Workbench) RunFaultFull(f fault.Fault, warm bool) (fault.Class, fault.Context, soc.Result) {
-	cls, ctx, res, _ := w.RunFaultLadder(f, warm)
-	return cls, ctx, res
-}
-
-// RunFaultLadder runs one fault like RunFaultFull and additionally reports
-// what the checkpoint ladder did for the run (zero stats when no matching
-// ladder is installed and the run took the plain path).
+// RunFaultLadder restores the snapshot (cold — caches reset, as GeFIN does
+// on every experiment — or warm for the warm-cache ablation), injects the
+// fault at its cycle, runs to completion or watchdog, and classifies the
+// outcome. It also returns what the fault struck (resolved at the
+// injection instant: live vs idle content, kernel vs user ownership — the
+// injector-side observability of Section IV-C), the raw machine-level
+// Result, and what the checkpoint ladder did for the run. When a matching
+// ladder is installed the run goes through it transparently (zero stats
+// otherwise); the Result is bit-identical either way.
 func (w *Workbench) RunFaultLadder(f fault.Fault, warm bool) (fault.Class, fault.Context, soc.Result, soc.LadderStats) {
-	var ctx fault.Context
-	inject := func() {
-		ctx = fault.ContextOf(w.Machine, f)
-		fault.Apply(w.Machine, f)
-	}
-	var res soc.Result
-	var stats soc.LadderStats
-	if w.Ladder != nil && w.Ladder.Warm() == warm {
-		res, stats = w.Machine.RunLadderInjection(w.Ladder, w.Watchdog, f.Cycle, inject)
-	} else {
-		w.Machine.RestoreSnapshot(w.Snap, warm)
-		res = w.Machine.RunWithInjection(w.Watchdog, f.Cycle, inject)
-	}
-	return fault.Classify(res, w.Built.Golden, w.Machine.Cfg.TimerPeriod), ctx, res, stats
+	return w.runFault(f, warm, nil)
 }
 
 // RunFaultProv runs one fault like RunFaultLadder with a propagation
@@ -293,16 +250,26 @@ func (w *Workbench) RunFaultLadder(f fault.Fault, warm bool) (fault.Class, fault
 // injection instant (liveness resolved pre-flip), the memory and CPU
 // models report lifecycle events on it into p, and all taint is disarmed
 // again before returning — the probe is purely observational and the
-// Result is bit-identical to the probe-free paths. The caller reads the
+// Result is bit-identical to the probe-free path. The caller reads the
 // mechanism verdict via fault.MechanismOf; p.Armed() is false for targets
-// without taint support (tag arrays).
+// without taint support (tag arrays). A nil p runs probe-free.
 func (w *Workbench) RunFaultProv(f fault.Fault, warm bool, p *mem.Probe) (fault.Class, fault.Context, soc.Result, soc.LadderStats) {
-	core := w.Machine.Core()
-	p.Reset(core.Cycles, core.PC)
+	return w.runFault(f, warm, p)
+}
+
+// runFault is the one fault-run body: the probe is armed only when p is
+// non-nil.
+func (w *Workbench) runFault(f fault.Fault, warm bool, p *mem.Probe) (fault.Class, fault.Context, soc.Result, soc.LadderStats) {
+	if p != nil {
+		core := w.Machine.Core()
+		p.Reset(core.Cycles, core.PC)
+	}
 	var ctx fault.Context
 	inject := func() {
 		ctx = fault.ContextOf(w.Machine, f)
-		fault.Arm(w.Machine, f, p)
+		if p != nil {
+			fault.Arm(w.Machine, f, p)
+		}
 		fault.Apply(w.Machine, f)
 	}
 	var res soc.Result
@@ -313,7 +280,9 @@ func (w *Workbench) RunFaultProv(f fault.Fault, warm bool, p *mem.Probe) (fault.
 		w.Machine.RestoreSnapshot(w.Snap, warm)
 		res = w.Machine.RunWithInjection(w.Watchdog, f.Cycle, inject)
 	}
-	fault.Disarm(w.Machine)
+	if p != nil {
+		fault.Disarm(w.Machine)
+	}
 	return fault.Classify(res, w.Built.Golden, w.Machine.Cfg.TimerPeriod), ctx, res, stats
 }
 

@@ -52,8 +52,8 @@ func TestRunsAreDeterministic(t *testing.T) {
 		t.Fatalf("restored run (%d cycles) differs from golden (%d)", a.Cycles, wb.Golden.Cycles)
 	}
 	f := fault.Fault{Comp: fault.CompRegFile, Bit: 101, Cycle: a.Cycles / 2}
-	c1 := wb.RunFault(f)
-	c2 := wb.RunFault(f)
+	c1, _, _, _ := wb.RunFaultLadder(f, false)
+	c2, _, _, _ := wb.RunFaultLadder(f, false)
 	if c1 != c2 {
 		t.Fatalf("identical faults classified differently: %v vs %v", c1, c2)
 	}
@@ -66,7 +66,7 @@ func TestFaultAtZeroAndLateCycles(t *testing.T) {
 	}
 	// Faults at the boundaries must classify without hanging the harness.
 	for _, cycle := range []uint64{0, wb.Golden.Cycles - 1, wb.Golden.Cycles + 1000} {
-		cls := wb.RunFault(fault.Fault{Comp: fault.CompL2, Bit: 777, Cycle: cycle})
+		cls, _, _, _ := wb.RunFaultLadder(fault.Fault{Comp: fault.CompL2, Bit: 777, Cycle: cycle}, false)
 		if cls < fault.ClassMasked || cls > fault.ClassSysCrash {
 			t.Fatalf("cycle %d: bad class %v", cycle, cls)
 		}
@@ -111,8 +111,8 @@ func TestCloneIsEquivalent(t *testing.T) {
 		{Comp: fault.CompL1D, Bit: 2048, Cycle: wb.Golden.Cycles / 2},
 		{Comp: fault.CompDTLB, Bit: 5, Cycle: 1000},
 	} {
-		a, actx := wb.RunFaultDetail(f, false)
-		b, bctx := clone.RunFaultDetail(f, false)
+		a, actx, _, _ := wb.RunFaultLadder(f, false)
+		b, bctx, _, _ := clone.RunFaultLadder(f, false)
 		if a != b || actx != bctx {
 			t.Fatalf("fault %v: original %v/%+v vs clone %v/%+v", f, a, actx, b, bctx)
 		}

@@ -14,6 +14,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"sync"
 	"time"
@@ -41,6 +42,11 @@ const (
 	// quiet before the fleet view flags it stalled.
 	DefaultStalledAfter = 15 * time.Second
 )
+
+// MaxShards bounds one campaign's shard table: the manifest lists every
+// shard and the coordinator queues each one, so a huge plan cut into tiny
+// shards would exhaust memory at submission.
+const MaxShards = 1 << 16
 
 // CoordConfig parameterises a Coordinator.
 type CoordConfig struct {
@@ -322,6 +328,9 @@ func BuildManifest(kind string, inj *gefin.Config, bm *beam.Config, workloads []
 		if inj.Exhaustive {
 			return nil, fmt.Errorf("serve: exhaustive sweeps run locally only (the plan is enumerated from each workload's liveness replay, so shard ranges cannot be cut at submission time)")
 		}
+		if inj.FaultsPerComponent < 0 || inj.FaultsPerComponent > math.MaxInt32 {
+			return nil, fmt.Errorf("serve: %d faults per component is out of range", inj.FaultsPerComponent)
+		}
 		man.Injection = inj
 		planLen := gefin.PlanLen(*inj)
 		comps := len(inj.Components)
@@ -330,6 +339,14 @@ func BuildManifest(kind string, inj *gefin.Config, bm *beam.Config, workloads []
 		}
 		if shardSize <= 0 {
 			shardSize = planLen / comps // one shard per component
+		}
+		perWorkload := planLen / shardSize
+		if planLen%shardSize != 0 {
+			perWorkload++
+		}
+		if perWorkload*len(workloads) > MaxShards {
+			return nil, fmt.Errorf("serve: %d shards per workload exceed the %d-shard campaign limit; raise the shard size",
+				perWorkload, MaxShards)
 		}
 		for _, w := range workloads {
 			for lo := 0; lo < planLen; lo += shardSize {

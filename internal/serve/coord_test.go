@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -345,6 +346,19 @@ func TestBuildManifestValidation(t *testing.T) {
 	exh := &gefin.Config{Seed: 1, Exhaustive: true}
 	if _, err := BuildManifest(KindInjection, exh, nil, []string{"crc32"}, 0); err == nil {
 		t.Error("exhaustive sweep accepted for remote fan-out (its plan is data-dependent, not derivable from the manifest)")
+	}
+	for _, n := range []int{-1, math.MaxInt32 + 1, math.MaxInt64} {
+		if _, err := BuildManifest(KindInjection, &gefin.Config{FaultsPerComponent: n}, nil, []string{"crc32"}, 0); err == nil {
+			t.Errorf("%d faults per component accepted", n)
+		}
+	}
+	// 6 x 2^20 slots at one slot per shard would queue 6M shards.
+	huge := &gefin.Config{FaultsPerComponent: 1 << 20}
+	if _, err := BuildManifest(KindInjection, huge, nil, []string{"crc32"}, 1); err == nil {
+		t.Error("a table beyond MaxShards accepted")
+	}
+	if man, err := BuildManifest(KindInjection, huge, nil, []string{"crc32"}, 0); err != nil || len(man.Shards) != 6 {
+		t.Errorf("the same plan at one shard per component: %v", err)
 	}
 	man, err := BuildManifest(KindInjection, inj, nil, []string{"crc32"}, 3)
 	if err != nil {

@@ -3,9 +3,16 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+	"time"
+
+	"armsefi/internal/core/fault"
+	"armsefi/internal/obs"
 )
 
 // FuzzStoreReplay feeds arbitrary manifest and shard-log bytes through
@@ -139,6 +146,127 @@ func FuzzStoreReplay(f *testing.F) {
 		again, err := s.Replay(id, m)
 		if err != nil || again.TornBytes != 0 || len(again.Done) != len(rep.Done) {
 			t.Fatalf("recovered log replays to %+v, %v", again, err)
+		}
+	})
+}
+
+// fuzzCoordinator opens a coordinator on a fresh temporary store.
+func fuzzCoordinator(t *testing.T) (*Coordinator, *Store) {
+	t.Helper()
+	store, err := OpenStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := NewCoordinator(CoordConfig{Store: store, LeaseTTL: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c, store
+}
+
+// FuzzTelemetryBatch feeds arbitrary bytes, decoded as a telemetry
+// batch, to Coordinator.Telemetry — the boundary every worker node
+// writes through. It must not panic, and the merged fleet trace of the
+// campaign the batch may name must still read back through
+// obs.ReadRecords, both as stored and as served.
+func FuzzTelemetryBatch(f *testing.F) {
+	for _, b := range []TelemetryBatch{
+		{Node: "n1", Seq: 1, Rate: 2.5, Items: 3, Shards: 1, RenewNS: []int64{1500}, Records: []obs.Record{
+			{Kind: obs.KindInjection, Campaign: "c1", Workload: "crc32", Comp: fault.CompL1D, Bit: 7, Cycle: 99, Class: fault.ClassSDC},
+			{Kind: obs.KindShard, Campaign: "c1", Shard: 0, Node: "n1", Span: 4},
+			{Kind: obs.KindInjection, Campaign: "c1", Predicted: true},
+			{Kind: obs.KindStrike, Campaign: "nosuch"},
+		}},
+		{Node: "n2", Seq: 3, Records: []obs.Record{{Kind: obs.KindConvergence, Campaign: "c1"}}},
+		{Node: "n1", Records: []obs.Record{{Kind: obs.KindInjection, Campaign: "../c1", Dedup: true}}},
+	} {
+		data, err := json.Marshal(b)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Add([]byte(`{"node":"n","records":[{"kind":"injection","campaign":"c1","class":255}]}`))
+	f.Add([]byte(`{"node":"","seq":-1}`))
+	f.Add([]byte(`null`))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var b TelemetryBatch
+		if json.Unmarshal(data, &b) != nil {
+			return
+		}
+		c, store := fuzzCoordinator(t)
+		man := &Manifest{ID: "c1", Kind: KindInjection, Workloads: []string{"crc32"}, Shards: []Shard{{Workload: "crc32", Lo: 0, Hi: 1}}}
+		if _, err := c.Submit(man); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Telemetry(&b); err != nil {
+			t.Fatalf("Telemetry refused a decoded batch: %v", err)
+		}
+		stored, err := store.ReadTrace("c1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := obs.ReadRecords(bytes.NewReader(stored)); err != nil {
+			t.Fatalf("stored trace does not read back: %v", err)
+		}
+		var served bytes.Buffer
+		if err := c.WriteTrace("c1", &served); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := obs.ReadRecords(&served); err != nil {
+			t.Fatalf("served trace does not read back: %v", err)
+		}
+	})
+}
+
+// FuzzSubmit POSTs arbitrary bodies to the campaign submission endpoint.
+// The handler must answer 201 or a 4xx, never panic, and the manifest of
+// an accepted campaign must round-trip: the stored copy LoadManifest
+// reads back is the one the coordinator queued.
+func FuzzSubmit(f *testing.F) {
+	f.Add([]byte(`{"kind":"injection","injection":{"Seed":7,"FaultsPerComponent":2,"Components":[1,5]},"workloads":["crc32"]}`))
+	f.Add([]byte(`{"kind":"injection","injection":{"FaultsPerComponent":3},"workloads":["crc32","qsort"],"shard_size":2}`))
+	f.Add([]byte(`{"kind":"beam","beam":{"BeamHours":0.5,"Seed":3},"workloads":["fft"]}`))
+	f.Add([]byte(`{"kind":"injection","injection":{"FaultsPerComponent":4611686018427387904},"workloads":["crc32"],"shard_size":1}`))
+	f.Add([]byte(`{"kind":"injection","injection":{"FaultsPerComponent":1000000000},"workloads":["crc32"],"shard_size":1}`))
+	f.Add([]byte(`{"kind":"injection","injection":{"FaultsPerComponent":-5},"workloads":["crc32"]}`))
+	f.Add([]byte(`{"kind":"injection","injection":{"Exhaustive":true},"workloads":["crc32"]}`))
+	f.Add([]byte(`{"kind":"injection","workloads":["crc32","crc32"]}`))
+	f.Add([]byte(`{"kind":"nosuch","workloads":["crc32"]}`))
+	f.Add([]byte(`{"kind":`))
+
+	f.Fuzz(func(t *testing.T, body []byte) {
+		c, store := fuzzCoordinator(t)
+		rec := httptest.NewRecorder()
+		Handler(c, nil).ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/api/v1/campaigns", bytes.NewReader(body)))
+		switch {
+		case rec.Code >= 400 && rec.Code < 500:
+			return
+		case rec.Code != http.StatusCreated:
+			t.Fatalf("status %d: %s", rec.Code, strings.TrimSpace(rec.Body.String()))
+		}
+		var resp struct{ ID string }
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil || resp.ID == "" {
+			t.Fatalf("201 without an id: %q (%v)", rec.Body.String(), err)
+		}
+		loaded, err := store.LoadManifest(resp.ID)
+		if err != nil {
+			t.Fatalf("accepted manifest does not load: %v", err)
+		}
+		c.mu.Lock()
+		queued := c.camps[resp.ID].man
+		c.mu.Unlock()
+		want, err := json.Marshal(queued)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := json.Marshal(loaded)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("stored manifest %s != queued %s", got, want)
 		}
 	})
 }

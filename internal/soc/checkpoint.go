@@ -21,19 +21,10 @@ package soc
 import (
 	"fmt"
 	"sort"
-	"sync/atomic"
 
 	"armsefi/internal/cpu"
 	"armsefi/internal/mem"
 )
-
-// LadderDebugCompare, when set, makes every page-level DRAM convergence
-// check also run the exact comparison of every byte and panic on
-// disagreement. It exists to cross-check the fast path (a disagreement
-// means either a frozen page was written or a page-fingerprint collision
-// occurred) and costs a full DRAM comparison per rung crossing, so it
-// stays off outside tests and debugging sessions.
-var LadderDebugCompare atomic.Bool
 
 // Checkpoint is one ladder rung: the complete machine state at a cycle
 // boundary of the golden run, with DRAM stored as a frozen page image
@@ -288,78 +279,38 @@ func (m *Machine) RestoreCheckpoint(c *Checkpoint) {
 // and the end state are always kept) and at the end; every == 0 captures
 // none. live attaches liveness recorders to every cache and TLB. Capture
 // only reads machine state and emits no recorder events, so one replay
-// yields exactly what two separate ones would. The loop mirrors
-// RunWithInjection cycle-for-cycle, so Final (the same Result in both
-// products) is what a plain golden run produces. The machine is left at
-// the end state of the run.
+// yields exactly what two separate ones would, and Final (the same Result
+// in both products) is what a plain golden run produces. The machine is
+// left at the end state of the run.
 func (m *Machine) ReplayGolden(base *Snapshot, warm bool, every uint64, max int, live bool, budget uint64) (*Ladder, *LivenessLog) {
 	m.RestoreSnapshot(base, warm)
 	var (
-		l   *Ladder
-		log *LivenessLog
+		l    *Ladder
+		log  *LivenessLog
+		next = never
 	)
 	if every > 0 {
 		l = &Ladder{base: base, warm: warm, every: every}
 		l.rungs = append(l.rungs, m.captureCheckpoint(0, nil))
+		next = every
 	}
 	if live {
 		log = m.attachLiveness(warm)
 		defer m.detachLiveness()
 	}
-
-	uartBase := len(base.uart)
-	beatsBase := base.sysctl.s.beats
-	aliveBase := base.sysctl.s.appAlive
-	lastBeats := m.SysCtl.Beats()
-	lastBeatAbs := uint64(0)
-	nextRung := every
-
-	res := Result{}
-	for {
-		if m.SysCtl.Halted() {
-			res.Outcome = OutcomePowerOff
-			res.ExitCode = m.SysCtl.ExitCode()
-			break
+	res, _ := m.loop(base.counters(), budget, next, func(cycle, lastBeat uint64) (uint64, bool) {
+		// The atomic model can step several cycles at once and skip a
+		// boundary; the rung lands on the first boundary actually reached,
+		// and faulty runs compare only on exact hits.
+		l.rungs = append(l.rungs, m.captureCheckpoint(lastBeat, l.rungs[len(l.rungs)-1]))
+		if max > 0 && len(l.rungs) > max {
+			return never, false
 		}
-		if m.core.Fatal() {
-			res.Outcome = OutcomeFatal
-			break
-		}
-		abs := m.core.Cycles()
-		if abs >= budget {
-			res.Outcome = OutcomeTimeout
-			break
-		}
-		if l != nil && abs >= nextRung && (max <= 0 || len(l.rungs) <= max) {
-			// The atomic model can step several cycles at once and skip a
-			// boundary; the rung lands on the first boundary actually
-			// reached, and faulty runs compare only on exact hits.
-			l.rungs = append(l.rungs, m.captureCheckpoint(lastBeatAbs, l.rungs[len(l.rungs)-1]))
-			for nextRung <= abs {
-				nextRung += every
-			}
-		}
-		if log != nil {
-			// Everything the coming step does is stamped with the cycle at
-			// which an injection targeting it would have fired.
-			log.now = abs
-		}
-		d := m.core.StepCycle()
-		m.Timer.Tick(d)
-		if b := m.SysCtl.Beats(); b != lastBeats {
-			lastBeats = b
-			lastBeatAbs = m.core.Cycles()
-		}
-	}
-	res.Cycles = m.core.Cycles()
-	res.Instructions = m.core.Instructions()
-	res.Output = m.UART.Tail(uartBase)
-	res.Beats = m.SysCtl.Beats() - beatsBase
-	res.AppAlive = m.SysCtl.AppAlive() - aliveBase
-	res.LastBeatCycle = lastBeatAbs
+		return (cycle/every + 1) * every, false
+	})
 	if l != nil {
 		l.Final = res
-		l.end = m.captureCheckpoint(lastBeatAbs, l.rungs[len(l.rungs)-1])
+		l.end = m.captureCheckpoint(res.LastBeatCycle, l.rungs[len(l.rungs)-1])
 	}
 	if log != nil {
 		log.Final = res
@@ -370,10 +321,10 @@ func (m *Machine) ReplayGolden(base *Snapshot, warm bool, every uint64, max int,
 // dramConverged reports whether the machine's DRAM matches rung r: pages
 // shared with the rung are equal by identity, the rest compare by their
 // memoised or freshly computed fingerprints. The exact comparison of
-// every byte is the LadderDebugCompare cross-check.
+// every byte is the LadderCrossCheck cross-check.
 func (m *Machine) dramConverged(r *Checkpoint) bool {
 	inc := m.DRAM.ConvergedPages(r.img)
-	if LadderDebugCompare.Load() {
+	if m.LadderCrossCheck {
 		full := m.DRAM.EqualPages(r.img)
 		if inc != full {
 			panic(fmt.Sprintf(
@@ -394,75 +345,46 @@ func (m *Machine) RunLadderInjection(l *Ladder, watchdog, injectAt uint64, injec
 	rung := l.rungFor(injectAt)
 	m.RestoreCheckpoint(rung)
 	stats := LadderStats{FastForwarded: rung.Cycle}
-
-	uartBase := len(l.base.uart)
-	beatsBase := l.base.sysctl.s.beats
-	aliveBase := l.base.sysctl.s.appAlive
-	lastBeats := m.SysCtl.Beats()
-	lastBeatAbs := rung.lastBeatAbs
+	base := l.base.counters()
+	base.lastBeat = rung.lastBeatAbs
 	injected := false
-	next := sort.Search(len(l.rungs), func(i int) bool { return l.rungs[i].Cycle > injectAt })
-
-	res := Result{}
-	for {
-		if m.SysCtl.Halted() {
-			res.Outcome = OutcomePowerOff
-			res.ExitCode = m.SysCtl.ExitCode()
-			break
-		}
-		if m.core.Fatal() {
-			res.Outcome = OutcomeFatal
-			break
-		}
-		abs := m.core.Cycles()
-		if abs >= watchdog {
-			res.Outcome = OutcomeTimeout
-			break
-		}
-		if !injected && abs >= injectAt {
+	k := sort.Search(len(l.rungs), func(i int) bool { return l.rungs[i].Cycle > injectAt })
+	res, stopped := m.loop(base, watchdog, injectAt, func(cycle, lastBeat uint64) (uint64, bool) {
+		if !injected {
 			inject()
 			injected = true
 		}
-		if injected && next < len(l.rungs) {
-			for next < len(l.rungs) && l.rungs[next].Cycle < abs {
-				next++ // diverged timing skipped a boundary; no comparison
+		for ; k < len(l.rungs) && l.rungs[k].Cycle <= cycle; k++ {
+			r := l.rungs[k]
+			if r.Cycle < cycle {
+				continue // diverged timing skipped a boundary; no comparison
 			}
-			if next < len(l.rungs) && l.rungs[next].Cycle == abs {
-				r := l.rungs[next]
-				next++
-				// Staged convergence check: the cheap non-DRAM fingerprint
-				// first (a diverged run almost always differs there), then
-				// the DRAM page comparison.
-				if lastBeatAbs == r.lastBeatAbs && m.microFPSum() == r.microFP &&
-					m.dramConverged(r) {
-					stats.EarlyExit = true
-					stats.TailSaved = l.Final.Cycles - abs
-					stats.ConvergedAt = abs
-					return l.Final, stats
-				}
-				if stats.DivergedAt == 0 {
-					stats.DivergedAt = abs
-				}
+			// Staged convergence check: the cheap non-DRAM fingerprint
+			// first (a diverged run almost always differs there), then the
+			// DRAM page comparison.
+			if lastBeat == r.lastBeatAbs && m.microFPSum() == r.microFP && m.dramConverged(r) {
+				stats.EarlyExit = true
+				stats.TailSaved = l.Final.Cycles - cycle
+				stats.ConvergedAt = cycle
+				return never, true
+			}
+			if stats.DivergedAt == 0 {
+				stats.DivergedAt = cycle
 			}
 		}
-		d := m.core.StepCycle()
-		m.Timer.Tick(d)
-		if b := m.SysCtl.Beats(); b != lastBeats {
-			lastBeats = b
-			lastBeatAbs = m.core.Cycles()
+		if k < len(l.rungs) {
+			return l.rungs[k].Cycle, false
 		}
+		return never, false
+	})
+	if stopped {
+		return l.Final, stats
 	}
 	if !injected {
 		// The run ended before the injection time; apply it so component
-		// state still carries it (mirrors RunWithInjection).
+		// state still carries it.
 		inject()
 	}
-	res.Cycles = m.core.Cycles()
-	res.Instructions = m.core.Instructions()
-	res.Output = m.UART.Tail(uartBase)
-	res.Beats = m.SysCtl.Beats() - beatsBase
-	res.AppAlive = m.SysCtl.AppAlive() - aliveBase
-	res.LastBeatCycle = lastBeatAbs
 	return res, stats
 }
 

@@ -124,18 +124,39 @@ func TestRestoreCheckpointBitIdenticalToReplay(t *testing.T) {
 
 // TestRunLadderInjectionMatchesFullRun pins the bit-identity contract: for
 // a spread of injection cycles and a real bit flip, the ladder path yields
-// exactly the Result of restore-from-snapshot plus full replay.
+// exactly the Result of restore-from-snapshot plus full replay. The spread
+// includes the cycle loop's edge cases — cycle zero, a cycle exactly on a
+// rung, and cycles at and after the end of the golden run (the late
+// fallback) — and each path must call inject exactly once.
 func TestRunLadderInjectionMatchesFullRun(t *testing.T) {
 	for _, model := range []ModelKind{ModelAtomic, ModelDetailed} {
 		for _, warm := range []bool{false, true} {
 			m, snap, l := captureLadder(t, model, warm, 2_000)
 			watchdog := 2*l.Final.Cycles + 1_000_000
+			type point struct{ at, salt uint64 }
+			var spread []point
 			for _, frac := range []uint64{0, 3, 7, 12, 19, 31, 47, 63} {
-				at := l.Final.Cycles * frac / 64
-				bit := (frac*977 + 13) % m.Core().RegFileBits()
+				spread = append(spread, point{l.Final.Cycles * frac / 64, frac})
+			}
+			spread = append(spread, point{0, 64}, point{l.rungs[2].Cycle, 65},
+				point{l.Final.Cycles, 66}, point{l.Final.Cycles + 1_000, 67})
+			for _, p := range spread {
+				at, bit := p.at, (p.salt*977+13)%m.Core().RegFileBits()
+				calls := 0
+				inject := func() {
+					calls++
+					m.Core().FlipRegFileBit(bit)
+				}
 				m.RestoreSnapshot(snap, warm)
-				want := m.RunWithInjection(watchdog, at, func() { m.Core().FlipRegFileBit(bit) })
-				got, _ := m.RunLadderInjection(l, watchdog, at, func() { m.Core().FlipRegFileBit(bit) })
+				want := m.RunWithInjection(watchdog, at, inject)
+				if calls != 1 {
+					t.Errorf("%v warm=%v at=%d: full run called inject %d times", model, warm, at, calls)
+				}
+				calls = 0
+				got, _ := m.RunLadderInjection(l, watchdog, at, inject)
+				if calls != 1 {
+					t.Errorf("%v warm=%v at=%d: ladder run called inject %d times", model, warm, at, calls)
+				}
 				if !reflect.DeepEqual(got, want) {
 					t.Errorf("%v warm=%v at=%d bit=%d: ladder %+v != full %+v",
 						model, warm, at, bit, got, want)
@@ -248,10 +269,9 @@ func TestLadderInternsUntouchedCacheSets(t *testing.T) {
 // replays — proves the fast path agrees with the exact one at every rung
 // crossing.
 func TestLadderDebugCrossCheckAgrees(t *testing.T) {
-	LadderDebugCompare.Store(true)
-	t.Cleanup(func() { LadderDebugCompare.Store(false) })
 	for _, model := range []ModelKind{ModelAtomic, ModelDetailed} {
 		m, snap, l := captureLadder(t, model, false, 2_000)
+		m.LadderCrossCheck = true
 		watchdog := 2*l.Final.Cycles + 1_000_000
 		for _, frac := range []uint64{0, 9, 21, 42, 63} {
 			at := l.Final.Cycles * frac / 64
@@ -273,9 +293,8 @@ func TestLadderDebugCrossCheckAgrees(t *testing.T) {
 // equal — so the page-level verdict is "converged" while the exact
 // comparison sees different bytes, and the debug cross-check must panic.
 func TestLadderDebugCrossCheckPanicsOnDisagreement(t *testing.T) {
-	LadderDebugCompare.Store(true)
-	t.Cleanup(func() { LadderDebugCompare.Store(false) })
 	m, _, l := captureLadder(t, ModelAtomic, false, 2_000)
+	m.LadderCrossCheck = true
 	watchdog := 2*l.Final.Cycles + 1_000_000
 	at := l.Final.Cycles / 3
 	top := DRAMBytes - mem.PageBytes // never written: all zero

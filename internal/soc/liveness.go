@@ -4,9 +4,9 @@
 // ACE-style analysis queries to classify planned injections without
 // simulating them.
 //
-// The replay loop mirrors RunWithInjection cycle-for-cycle and stamps
-// every recorded event with the top-of-loop cycle value — the exact
-// instants at which the injection loops fire inject(). An injection at
+// The replay runs the machine's one cycle loop (Machine.loop), which
+// stamps every recorded event with the top-of-cycle value — the exact
+// instant at which the same loop fires an injection. An injection at
 // cycle F therefore lands before every event stamped >= F and after
 // every event stamped < F, which is what makes the log's verdicts exact
 // rather than approximate.
@@ -27,22 +27,18 @@ type LivenessLog struct {
 
 	L1I, L1D, L2 *mem.CacheLiveness
 	ITLB, DTLB   *mem.TLBLiveness
-
-	// now is the shared event-stamp clock the recorders read; it advances
-	// only during the replay and is dead weight afterwards.
-	now uint64
 }
 
 // attachLiveness starts liveness recording on every cache and TLB,
-// stamped by the returned log's clock; the replay loop advances the clock
-// and detachLiveness stops recording.
+// stamped by the machine's cycle-loop clock; detachLiveness stops
+// recording.
 func (m *Machine) attachLiveness(warm bool) *LivenessLog {
 	log := &LivenessLog{Warm: warm}
-	log.L1I = m.Mem.L1I.AttachLiveness(&log.now)
-	log.L1D = m.Mem.L1D.AttachLiveness(&log.now)
-	log.L2 = m.Mem.L2.AttachLiveness(&log.now)
-	log.ITLB = m.Mem.ITLB.AttachLiveness(&log.now)
-	log.DTLB = m.Mem.DTLB.AttachLiveness(&log.now)
+	log.L1I = m.Mem.L1I.AttachLiveness(&m.now)
+	log.L1D = m.Mem.L1D.AttachLiveness(&m.now)
+	log.L2 = m.Mem.L2.AttachLiveness(&m.now)
+	log.ITLB = m.Mem.ITLB.AttachLiveness(&m.now)
+	log.DTLB = m.Mem.DTLB.AttachLiveness(&m.now)
 	return log
 }
 

@@ -2,6 +2,7 @@ package soc
 
 import (
 	"fmt"
+	"math"
 
 	"armsefi/internal/asm"
 	"armsefi/internal/cpu"
@@ -96,8 +97,19 @@ type Machine struct {
 	SysCtl *SysCtl
 	Kernel *asm.Program
 
+	// LadderCrossCheck makes every page-level DRAM convergence verdict
+	// of RunLadderInjection also run the exact comparison of every byte
+	// and panic on disagreement. It cross-checks the fast path (a
+	// disagreement means a frozen page was written or a page-fingerprint
+	// collision occurred) and costs a full DRAM comparison per rung
+	// crossing, so verifying campaigns and tests set it per machine.
+	LadderCrossCheck bool
+
 	core archCore
 	app  *asm.Program
+	// now is the cycle loop's top-of-cycle stamp, the clock attached
+	// liveness recorders read.
+	now uint64
 }
 
 // NewMachine builds a platform from a preset with the chosen CPU model and
@@ -227,15 +239,63 @@ func (m *Machine) Run(maxCycles uint64) Result {
 // consumed injectAt cycles — the single-event upset of a fault-injection or
 // beam experiment. A nil inject runs undisturbed.
 func (m *Machine) RunWithInjection(maxCycles, injectAt uint64, inject func()) Result {
-	startCycles := m.core.Cycles()
-	startInstrs := m.core.Instructions()
-	uartStart := m.UART.Len()
-	beatsStart := m.SysCtl.Beats()
-	aliveStart := m.SysCtl.AppAlive()
-	lastBeats := m.SysCtl.Beats()
-	lastBeatCycle := startCycles
+	next := never
+	if inject != nil {
+		next = injectAt
+	}
+	res, _ := m.loop(m.counters(), maxCycles, next, func(_, _ uint64) (uint64, bool) {
+		inject()
+		inject = nil
+		return never, false
+	})
+	if inject != nil {
+		// The run ended before the injection time (e.g., a strike scheduled
+		// in idle tail time); apply it so component state still carries it.
+		inject()
+	}
+	return res
+}
 
-	res := Result{}
+// never is the event cycle of a run with no event pending.
+const never uint64 = math.MaxUint64
+
+// counters is the base a run is measured from: the core and device
+// counters at the run's start, and the run cycle of the last heartbeat
+// before it.
+type counters struct {
+	cycles, instrs uint64
+	uart           int
+	beats, alive   uint64
+	lastBeat       uint64
+}
+
+// counters returns the machine's own counters, the base of a run that
+// starts wherever the machine stands.
+func (m *Machine) counters() counters {
+	return counters{
+		cycles: m.core.Cycles(),
+		instrs: m.core.Instructions(),
+		uart:   m.UART.Len(),
+		beats:  m.SysCtl.Beats(),
+		alive:  m.SysCtl.AppAlive(),
+	}
+}
+
+// loop is the machine's one cycle loop, which every run after Boot goes
+// through. Cycles count from base.cycles (zero for the golden replay and
+// ladder runs, whose core counters restart at the post-boot snapshot).
+// Each cycle it (1) stops on power-off, a fatal core or the budget; (2)
+// fires ev once the cycle reaches next; (3) stamps the liveness clock;
+// (4) steps the core, ticks the timer and notes a new heartbeat. An
+// injection at cycle F thus lands after every liveness event stamped
+// below F and before every one stamped F or later, and a rung captured
+// at F holds the state an injection at F strikes. ev gets the run cycle
+// and the run cycle of the last heartbeat and returns the next event
+// cycle (never for none), or stop to end the run at once; stopped then
+// reports it, and the Result is empty.
+func (m *Machine) loop(base counters, budget, next uint64, ev func(cycle, lastBeat uint64) (next uint64, stop bool)) (res Result, stopped bool) {
+	lastBeats := m.SysCtl.Beats()
+	lastBeat := base.lastBeat
 	for {
 		if m.SysCtl.Halted() {
 			res.Outcome = OutcomePowerOff
@@ -246,33 +306,32 @@ func (m *Machine) RunWithInjection(maxCycles, injectAt uint64, inject func()) Re
 			res.Outcome = OutcomeFatal
 			break
 		}
-		if m.core.Cycles()-startCycles >= maxCycles {
+		cycle := m.core.Cycles() - base.cycles
+		if cycle >= budget {
 			res.Outcome = OutcomeTimeout
 			break
 		}
-		if inject != nil && m.core.Cycles()-startCycles >= injectAt {
-			inject()
-			inject = nil
+		if cycle >= next {
+			var stop bool
+			if next, stop = ev(cycle, lastBeat); stop {
+				return Result{}, true
+			}
 		}
+		m.now = cycle
 		d := m.core.StepCycle()
 		m.Timer.Tick(d)
 		if b := m.SysCtl.Beats(); b != lastBeats {
 			lastBeats = b
-			lastBeatCycle = m.core.Cycles()
+			lastBeat = m.core.Cycles() - base.cycles
 		}
 	}
-	if inject != nil {
-		// The run ended before the injection time (e.g., a strike scheduled
-		// in idle tail time); apply it so component state still carries it.
-		inject()
-	}
-	res.Cycles = m.core.Cycles() - startCycles
-	res.Instructions = m.core.Instructions() - startInstrs
-	res.Output = m.UART.Tail(uartStart)
-	res.Beats = m.SysCtl.Beats() - beatsStart
-	res.AppAlive = m.SysCtl.AppAlive() - aliveStart
-	res.LastBeatCycle = lastBeatCycle - startCycles
-	return res
+	res.Cycles = m.core.Cycles() - base.cycles
+	res.Instructions = m.core.Instructions() - base.instrs
+	res.Output = m.UART.Tail(base.uart)
+	res.Beats = m.SysCtl.Beats() - base.beats
+	res.AppAlive = m.SysCtl.AppAlive() - base.alive
+	res.LastBeatCycle = lastBeat
+	return res, false
 }
 
 // Snapshot is a complete machine state: DRAM, architectural CPU state,
@@ -291,6 +350,13 @@ type Snapshot struct {
 	timer  timerState
 	sysctl sysCtlState
 	uart   []byte
+}
+
+// counters returns the snapshot's counters, the base every golden replay
+// and ladder run is measured from whichever rung it restores. LoadArch
+// zeroes the core counters, so the cycle and instruction bases are zero.
+func (s *Snapshot) counters() counters {
+	return counters{uart: len(s.uart), beats: s.sysctl.s.beats, alive: s.sysctl.s.appAlive}
 }
 
 // SaveSnapshot captures the full machine state. The core must be at a
