@@ -30,8 +30,7 @@ import (
 
 func main() {
 	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
-		fmt.Fprintln(os.Stderr, "beamsim:", err)
-		os.Exit(1)
+		cli.Exit("beamsim", err)
 	}
 }
 
@@ -50,6 +49,14 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
+	cfg := beam.Config{
+		Scale: scale, Seed: cf.Seed, BeamHours: *hours, Workers: cf.Workers,
+		CheckpointEvery: cf.CheckpointEvery, MaxCheckpoints: cf.MaxCheckpoints, Provenance: cf.Prov,
+		TargetMargin: cf.TargetMargin, Confidence: cf.Confidence, Verify: cf.Verify,
+	}
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
 	ocli, err := obs.SetupCLI(cf.Trace, cf.MetricsAddr)
 	if err != nil {
 		return err
@@ -59,12 +66,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	cfg := beam.Config{
-		Scale: scale, Seed: cf.Seed, BeamHours: *hours, Workers: cf.Workers,
-		CheckpointEvery: cf.CheckpointEvery, MaxCheckpoints: cf.MaxCheckpoints,
-		Obs: ocli.Obs, Provenance: cf.Prov,
-		TargetMargin: cf.TargetMargin, Confidence: cf.Confidence, Verify: cf.Verify,
-	}
+	cfg.Obs = ocli.Obs
 	var progress beam.Progress
 	if !cf.Quiet {
 		// One aggregated campaign line: per-workload `\r` lines would

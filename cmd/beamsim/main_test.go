@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http/httptest"
 	"os"
@@ -12,6 +13,7 @@ import (
 	"time"
 
 	"armsefi/internal/core/beam"
+	"armsefi/internal/core/sched"
 	"armsefi/internal/serve"
 )
 
@@ -102,6 +104,23 @@ func TestRemoteMatchesLocal(t *testing.T) {
 		r, _ := json.Marshal(part.remote)
 		if string(l) != string(r) {
 			t.Errorf("%s differ:\n local  %s\n remote %s", part.name, l, r)
+		}
+	}
+}
+
+// TestRunRejectsInvalidSizes pins that a negative or non-finite beam time
+// is refused as an invalid configuration (exit status 2) before any
+// campaign runs, locally or remote, instead of reporting positive FITs.
+func TestRunRejectsInvalidSizes(t *testing.T) {
+	for _, args := range [][]string{
+		{"-hours", "-1"},
+		{"-hours", "NaN"},
+		{"-hours", "-1", "-fitraw"},
+		{"-hours", "-1", "-remote", "http://127.0.0.1:1"},
+	} {
+		err := run(append(args, "-workloads", "crc32", "-quiet"), io.Discard, io.Discard)
+		if !errors.Is(err, sched.ErrConfig) || !strings.Contains(err.Error(), "beam hours") {
+			t.Errorf("beamsim %v: error %v, want an invalid configuration", args, err)
 		}
 	}
 }

@@ -36,8 +36,7 @@ import (
 
 func main() {
 	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
-		fmt.Fprintln(os.Stderr, "fitcompare:", err)
-		os.Exit(1)
+		cli.Exit("fitcompare", err)
 	}
 }
 
@@ -78,6 +77,25 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return runCounterStudy(stdout, specs, scale)
 	}
 
+	// The beam campaign runs on the board preset, the injection campaign
+	// on the model preset. Both are validated before either runs.
+	beamCfg := beam.Config{
+		Scale: scale, Seed: cf.Seed, BeamHours: *hours, Workers: cf.Workers,
+		CheckpointEvery: cf.CheckpointEvery, MaxCheckpoints: cf.MaxCheckpoints,
+		Provenance: cf.Prov,
+	}
+	injCfg := gefin.Config{
+		Scale: scale, Seed: cf.Seed, FaultsPerComponent: *faults, Workers: cf.Workers,
+		CheckpointEvery: cf.CheckpointEvery, MaxCheckpoints: cf.MaxCheckpoints,
+		Provenance: cf.Prov, Prune: *prune, Dedup: *dedup, Verify: cf.Verify,
+	}
+	if err := beamCfg.Validate(); err != nil {
+		return err
+	}
+	if err := injCfg.Validate(); err != nil {
+		return err
+	}
+
 	// One observer spans both campaigns: strikes and injections land in the
 	// same trace file (distinguished by the record kind) and the same
 	// metrics registry.
@@ -86,13 +104,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 	defer ocli.Close()
-
-	// Beam campaign on the board preset.
-	beamCfg := beam.Config{
-		Scale: scale, Seed: cf.Seed, BeamHours: *hours, Workers: cf.Workers,
-		CheckpointEvery: cf.CheckpointEvery, MaxCheckpoints: cf.MaxCheckpoints, Obs: ocli.Obs,
-		Provenance: cf.Prov,
-	}
+	beamCfg.Obs, injCfg.Obs = ocli.Obs, ocli.Obs
 	var beamProg beam.Progress
 	var gefinProg gefin.Progress
 	if !cf.Quiet {
@@ -122,12 +134,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 
-	// Injection campaign on the model preset.
-	injCfg := gefin.Config{
-		Scale: scale, Seed: cf.Seed, FaultsPerComponent: *faults, Workers: cf.Workers,
-		CheckpointEvery: cf.CheckpointEvery, MaxCheckpoints: cf.MaxCheckpoints, Obs: ocli.Obs,
-		Provenance: cf.Prov, Prune: *prune, Dedup: *dedup, Verify: cf.Verify,
-	}
 	injRes, err := gefin.Run(injCfg, specs, gefinProg)
 	if err != nil {
 		return err

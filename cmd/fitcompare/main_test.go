@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"io"
 	"os"
 	"path/filepath"
@@ -10,6 +11,7 @@ import (
 
 	"armsefi/internal/core/beam"
 	"armsefi/internal/core/gefin"
+	"armsefi/internal/core/sched"
 )
 
 func TestRunReport(t *testing.T) {
@@ -53,6 +55,24 @@ func TestRunRejects(t *testing.T) {
 		err := run(args, io.Discard, io.Discard)
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("fitcompare %v: error %v, want %q", args, err, c.want)
+		}
+	}
+}
+
+// TestRunRejectsInvalidSizes pins that an invalid size for either
+// campaign is refused as an invalid configuration (exit status 2) before
+// the beam campaign, which runs first, spends any time.
+func TestRunRejectsInvalidSizes(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-faults", "-1", "-hours", "0.1"}, "-1 faults per component"},
+		{[]string{"-faults", "1", "-hours", "-1"}, "beam hours -1"},
+	} {
+		err := run(append(c.args, "-workloads", "crc32", "-quiet"), io.Discard, io.Discard)
+		if !errors.Is(err, sched.ErrConfig) || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("fitcompare %v: error %v, want %q", c.args, err, c.want)
 		}
 	}
 }

@@ -38,8 +38,7 @@ import (
 
 func main() {
 	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
-		fmt.Fprintln(os.Stderr, "gefin:", err)
-		os.Exit(1)
+		cli.Exit("gefin", err)
 	}
 }
 
@@ -86,15 +85,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if *exhaustive && cf.Remote != "" {
 		return fmt.Errorf("-exhaustive runs locally only: the sweep plan is enumerated from each workload's liveness replay, so the campaign service cannot cut shard ranges at submission time")
 	}
-	ocli, err := obs.SetupCLI(cf.Trace, cf.MetricsAddr)
-	if err != nil {
-		return err
-	}
-	defer ocli.Close()
-	stopProfiles, err := obs.StartProfiles(cf.CPUProfile, cf.MemProfile)
-	if err != nil {
-		return err
-	}
 	cfg := gefin.Config{
 		Model:              model,
 		Scale:              scale,
@@ -106,7 +96,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		TLBFullEntry:       *tlbFull,
 		CheckpointEvery:    cf.CheckpointEvery,
 		MaxCheckpoints:     cf.MaxCheckpoints,
-		Obs:                ocli.Obs,
 		Provenance:         cf.Prov,
 		Prune:              *prune,
 		Dedup:              *dedup,
@@ -115,6 +104,19 @@ func run(args []string, stdout, stderr io.Writer) error {
 		Confidence:         cf.Confidence,
 		Verify:             cf.Verify,
 	}
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	ocli, err := obs.SetupCLI(cf.Trace, cf.MetricsAddr)
+	if err != nil {
+		return err
+	}
+	defer ocli.Close()
+	stopProfiles, err := obs.StartProfiles(cf.CPUProfile, cf.MemProfile)
+	if err != nil {
+		return err
+	}
+	cfg.Obs = ocli.Obs
 	var progress gefin.Progress
 	if !cf.Quiet {
 		// Workloads run concurrently, so a per-workload `\r` line would

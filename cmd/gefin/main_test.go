@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"io"
 	"os"
 	"path/filepath"
@@ -9,6 +10,7 @@ import (
 	"testing"
 
 	"armsefi/internal/core/gefin"
+	"armsefi/internal/core/sched"
 )
 
 func TestRunReport(t *testing.T) {
@@ -53,6 +55,21 @@ func TestRunRejects(t *testing.T) {
 		err := run(args, io.Discard, io.Discard)
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("gefin %v: error %v, want %q", args, err, c.want)
+		}
+	}
+}
+
+// TestRunRejectsInvalidSizes pins that a negative sample size is refused
+// as an invalid configuration (exit status 2) before any campaign runs,
+// locally or remote.
+func TestRunRejectsInvalidSizes(t *testing.T) {
+	for _, args := range [][]string{
+		{"-faults", "-1"},
+		{"-faults", "-1", "-remote", "http://127.0.0.1:1"},
+	} {
+		err := run(append(args, "-workloads", "crc32", "-quiet"), io.Discard, io.Discard)
+		if !errors.Is(err, sched.ErrConfig) || !strings.Contains(err.Error(), "-1 faults per component") {
+			t.Errorf("gefin %v: error %v, want an invalid configuration", args, err)
 		}
 	}
 }

@@ -7,6 +7,7 @@ package cli
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -14,6 +15,7 @@ import (
 	"os/signal"
 
 	"armsefi/internal/bench"
+	"armsefi/internal/core/sched"
 	"armsefi/internal/serve"
 	"armsefi/internal/soc"
 )
@@ -54,9 +56,9 @@ func Register(fs *flag.FlagSet, withRemote bool) *Flags {
 		"attach the propagation-provenance probe: trace records carry a mechanism verdict and lifecycle event chain (results are byte-identical either way)")
 	fs.StringVar(&f.MetricsAddr, "metrics-addr", "", "serve live metrics and pprof on HOST:PORT")
 	fs.Uint64Var(&f.CheckpointEvery, "checkpoint-every", soc.DefaultCheckpointEvery,
-		"golden-run checkpoint-ladder rung spacing in cycles; the ladder fast-forwards injection runs and beam steady-state and reboot runs; 0 disables it (results are bit-identical either way)")
+		"golden-run checkpoint-ladder rung spacing in cycles; the ladder fast-forwards injection runs, and for beam campaigns any non-zero value captures the steady state that fast-forwards steady-state and reboot runs; 0 disables both (results are bit-identical either way)")
 	fs.IntVar(&f.MaxCheckpoints, "max-checkpoints", soc.DefaultMaxCheckpoints,
-		"cap on checkpoint-ladder rungs per workload (spacing grows to fit)")
+		"cap on checkpoint-ladder rungs per workload (spacing grows to fit; injection campaigns only)")
 	fs.BoolVar(&f.Verify, "verify", false,
 		"cross-validate the shortcuts (no speedup; turns none on): simulate every injection with the provenance probe and check each -prune prediction and -dedup materialization against it (failing the campaign on any disagreement), execute every strike and injection while computing the same -target-margin cuts without applying them, and cross-check every incremental ladder convergence verdict against the exact full-image comparison")
 	if withRemote {
@@ -70,6 +72,17 @@ func Register(fs *flag.FlagSet, withRemote bool) *Flags {
 		fs.StringVar(&f.MemProfile, "memprofile", "", "write a heap profile at campaign end to this file")
 	}
 	return f
+}
+
+// Exit reports a command's error on stderr and exits: with status 2 when
+// the campaign configuration is invalid, as on a malformed flag, and 1
+// otherwise.
+func Exit(cmd string, err error) {
+	fmt.Fprintf(os.Stderr, "%s: %v\n", cmd, err)
+	if errors.Is(err, sched.ErrConfig) {
+		os.Exit(2)
+	}
+	os.Exit(1)
 }
 
 // Resolve parses -workloads and -scale.

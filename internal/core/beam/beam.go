@@ -92,18 +92,19 @@ type Config struct {
 	ClockHz   float64
 	BitXS     float64 // cm^2 per modeled SRAM bit
 	Platform  PlatformXS
-	// CheckpointEvery enables the golden-run checkpoint ladder. On a live
-	// board the ladder cannot accelerate the strikes themselves: a strike
-	// chain's machine state carries corruption from previous strikes, so a
-	// strike can neither start from a golden rung nor be reordered by
-	// injection cycle without changing its physics. What the ladder does
-	// replace — bit-identically — are the fault-free golden replays of a
-	// chain: the initial steady-state run and every post-crash reboot run
-	// jump straight to the captured end state. Zero (the default) keeps
-	// the ladder off; soc.DefaultCheckpointEvery is the recommended value.
+	// CheckpointEvery, when non-zero, switches on the steady-state
+	// capture: one warm golden replay whose end state (soc.SteadyState)
+	// replaces — bit-identically — the fault-free golden runs of every
+	// chain, the initial steady-state run and every post-crash reboot
+	// run. No mid-run rungs are captured: on a live board a strike
+	// chain's machine state carries corruption from previous strikes, so
+	// a strike can neither start from a golden rung nor be reordered by
+	// injection cycle without changing its physics. The value itself is
+	// not used beyond switching the capture on, which keeps the campaign
+	// flag shared with gefin. Zero (the default) keeps it off.
 	CheckpointEvery uint64
-	// MaxCheckpoints caps the rungs a ladder may hold; zero picks
-	// soc.DefaultMaxCheckpoints.
+	// MaxCheckpoints no longer affects beam campaigns, which capture no
+	// rungs; it stays so configs shared with gefin keep their shape.
 	MaxCheckpoints int
 	// StrikesPerComponent stratifies the modeled-strike Monte Carlo: that
 	// many strikes are simulated per component and each carries the weight
@@ -183,9 +184,6 @@ func (c Config) withDefaults() Config {
 	if c.Platform == (PlatformXS{}) {
 		c.Platform = DefaultPlatformXS()
 	}
-	if c.CheckpointEvery > 0 && c.MaxCheckpoints == 0 {
-		c.MaxCheckpoints = soc.DefaultMaxCheckpoints
-	}
 	if c.TargetMargin > 0 || c.Verify {
 		// Pin the stop rule's full determinism surface into the config, so
 		// a serialized manifest reproduces the identical cuts.
@@ -198,6 +196,26 @@ func (c Config) withDefaults() Config {
 	}
 	c.Workers = sched.Resolve(c.Workers)
 	return c
+}
+
+// Validate rejects configurations no campaign can honour, before
+// anything runs — Run, RunWorkload and the shard runner call it, and so
+// can a command or the campaign service up front: a negative strike
+// count, and a beam time, flux, clock or bit cross-section that is
+// negative or not a finite number (zero picks the default).
+func (c Config) Validate() error {
+	if c.StrikesPerComponent < 0 {
+		return fmt.Errorf("beam: %w: %d strikes per component", sched.ErrConfig, c.StrikesPerComponent)
+	}
+	for _, q := range []struct {
+		name string
+		v    float64
+	}{{"beam hours", c.BeamHours}, {"flux", c.Flux}, {"clock", c.ClockHz}, {"bit cross-section", c.BitXS}} {
+		if !(q.v >= 0) || math.IsInf(q.v, 0) {
+			return fmt.Errorf("beam: %w: %s %v", sched.ErrConfig, q.name, q.v)
+		}
+	}
+	return nil
 }
 
 // WorkloadResult is one workload's beam campaign outcome.
@@ -457,13 +475,13 @@ func runChain(cfg Config, wb *harness.Workbench, spec bench.Spec, comp fault.Com
 }
 
 // steadyState brings the board to the state the golden run leaves behind:
-// through the warm ladder's end checkpoint when one is installed
-// (bit-identical, skipping the whole fault-free execution), otherwise by
-// restoring the warm snapshot and running to completion.
+// through the captured steady state when one is installed (bit-identical,
+// skipping the whole fault-free execution), otherwise by restoring the
+// warm snapshot and running to completion.
 func steadyState(cfg Config, wb *harness.Workbench) {
-	if l := wb.Ladder; l != nil && l.Warm() {
-		wb.Machine.FastForwardGolden(l)
-		cfg.Obs.LadderRun(soc.LadderStats{FastForwarded: l.Final.Cycles})
+	if s := wb.Steady; s != nil {
+		wb.Machine.FastForwardGolden(s)
+		cfg.Obs.LadderRun(soc.LadderStats{FastForwarded: s.Final.Cycles})
 		return
 	}
 	wb.Machine.RestoreSnapshot(wb.Snap, true)
@@ -490,9 +508,9 @@ func prepare(cfg Config, spec bench.Spec) (*harness.Workbench, ShardMeta, error)
 	}
 
 	if cfg.CheckpointEvery > 0 {
-		// Captured warm (the chains' restore mode) and only after the slack
-		// probe above, which must see the state the cold golden run left.
-		if err := wb.BuildLadder(cfg.CheckpointEvery, cfg.MaxCheckpoints, true); err != nil {
+		// Captured only after the slack probe above, which must see the
+		// state the cold golden run left.
+		if err := wb.BuildSteadyState(); err != nil {
 			return nil, ShardMeta{}, fmt.Errorf("beam: %w", err)
 		}
 	}
@@ -588,6 +606,9 @@ func runWorkload(cfg Config, spec bench.Spec, pool *sched.Pool, em *emitter) (Sh
 // cfg.Workers parallel workbenches (one component chain at a time each).
 func RunWorkload(cfg Config, spec bench.Spec, progress Progress) (*WorkloadResult, error) {
 	cfg = cfg.withDefaults()
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	pool := sched.NewPool(cfg.Workers - 1)
 	cfg.Obs.ObservePool(pool)
 	meta, chains, err := runWorkload(cfg, spec, pool, newEmitter(progress, cfg.Obs))
@@ -603,6 +624,9 @@ func RunWorkload(cfg Config, spec bench.Spec, progress Progress) (*WorkloadResul
 // cfg.Workers total live machines.
 func Run(cfg Config, specs []bench.Spec, progress Progress) (*Result, error) {
 	cfg = cfg.withDefaults()
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	pool := sched.NewPool(cfg.Workers)
 	cfg.Obs.ObservePool(pool)
 	em := newEmitter(progress, cfg.Obs)

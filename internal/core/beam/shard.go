@@ -71,6 +71,7 @@ type ShardRunner struct {
 	// its runners and ships the snapshots in telemetry batches).
 	Conv    *obs.ConvRegistry
 	benches map[string]*shardBench
+	err     error // the Config's validation error, returned by every shard
 }
 
 type shardBench struct {
@@ -78,10 +79,12 @@ type shardBench struct {
 	meta ShardMeta
 }
 
-// NewShardRunner builds a runner for the campaign Config, normalised
-// exactly like Run normalises it.
+// NewShardRunner builds a runner for the campaign Config, normalised and
+// validated exactly like Run does it: a Config Run would refuse fails
+// every shard with the same error.
 func NewShardRunner(cfg Config) *ShardRunner {
-	return &ShardRunner{cfg: cfg.withDefaults(), benches: make(map[string]*shardBench)}
+	cfg = cfg.withDefaults()
+	return &ShardRunner{cfg: cfg, benches: make(map[string]*shardBench), err: cfg.Validate()}
 }
 
 // RunShard executes the workload's strike chain for component index comp
@@ -89,6 +92,9 @@ func NewShardRunner(cfg Config) *ShardRunner {
 // workload meta. The first shard of a workload pays the workbench setup;
 // later shards reuse it.
 func (r *ShardRunner) RunShard(spec bench.Spec, comp int) (*ChainOutcome, ShardMeta, error) {
+	if r.err != nil {
+		return nil, ShardMeta{}, r.err
+	}
 	b, ok := r.benches[spec.Name]
 	if !ok {
 		wb, meta, err := prepare(r.cfg, spec)

@@ -143,7 +143,7 @@ func TestExhaustiveAggregate(t *testing.T) {
 // front rather than producing a silently wrong population.
 func TestExhaustiveValidate(t *testing.T) {
 	base := Config{Exhaustive: true, Components: []fault.Component{fault.CompDTLB}}
-	if err := base.withDefaults().validate(); err != nil {
+	if err := base.withDefaults().Validate(); err != nil {
 		t.Fatalf("plain exhaustive config refused: %v", err)
 	}
 	bad := []struct {
@@ -157,7 +157,7 @@ func TestExhaustiveValidate(t *testing.T) {
 	for _, tc := range bad {
 		cfg := base
 		tc.mutate(&cfg)
-		if err := cfg.withDefaults().validate(); err == nil {
+		if err := cfg.withDefaults().Validate(); err == nil {
 			t.Errorf("%s: exhaustive config accepted", tc.name)
 		}
 	}

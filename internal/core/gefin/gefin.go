@@ -454,23 +454,30 @@ type ProgressEvent struct {
 // concurrency contract.
 type Progress func(ProgressEvent)
 
-// validate rejects configurations the engine cannot honour — today only
-// exhaustive-sweep constraints: the plan is data-dependent (no remote
-// sharding, no sequential stopping over a uniform per-component plan)
-// and enumeration only covers liveness-modelable sites.
-func (c Config) validate() error {
+// Validate rejects configurations the engine cannot honour, before
+// anything runs — Run, RunWorkload and the shard runner call it, and so
+// can a command or the campaign service up front: a negative sample
+// size, and the exhaustive-sweep constraints — the plan is
+// data-dependent (no remote sharding, no sequential stopping over a
+// uniform per-component plan) and enumeration only covers
+// liveness-modelable sites.
+func (c Config) Validate() error {
+	c = c.withDefaults()
+	if c.FaultsPerComponent < 0 {
+		return fmt.Errorf("gefin: %w: %d faults per component", sched.ErrConfig, c.FaultsPerComponent)
+	}
 	if !c.Exhaustive {
 		return nil
 	}
 	if c.TargetMargin > 0 {
-		return fmt.Errorf("gefin: exhaustive sweeps measure the population exactly; sequential stopping does not apply")
+		return fmt.Errorf("gefin: %w: exhaustive sweeps measure the population exactly; sequential stopping does not apply", sched.ErrConfig)
 	}
 	if c.TLBFullEntry {
-		return fmt.Errorf("gefin: exhaustive sweeps cannot enumerate full TLB entries (virtual-tag flips change which entries match, which the liveness stream cannot model)")
+		return fmt.Errorf("gefin: %w: exhaustive sweeps cannot enumerate full TLB entries (virtual-tag flips change which entries match, which the liveness stream cannot model)", sched.ErrConfig)
 	}
 	for _, comp := range c.Components {
 		if comp == fault.CompRegFile {
-			return fmt.Errorf("gefin: exhaustive sweeps cover liveness-recorded components only (caches and TLBs); %v is not", comp)
+			return fmt.Errorf("gefin: %w: exhaustive sweeps cover liveness-recorded components only (caches and TLBs); %v is not", sched.ErrConfig, comp)
 		}
 	}
 	return nil
@@ -480,7 +487,7 @@ func (c Config) validate() error {
 // cfg.Workers parallel workbenches.
 func RunWorkload(cfg Config, spec bench.Spec, progress Progress) (*WorkloadResult, error) {
 	cfg = cfg.withDefaults()
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	// The caller's goroutine drives the primary workbench; the pool holds
@@ -496,7 +503,7 @@ func RunWorkload(cfg Config, spec bench.Spec, progress Progress) (*WorkloadResul
 // by cfg.Workers total live machines.
 func Run(cfg Config, specs []bench.Spec, progress Progress) (*Result, error) {
 	cfg = cfg.withDefaults()
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	pool := sched.NewPool(cfg.Workers)

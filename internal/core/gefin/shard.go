@@ -82,13 +82,16 @@ type ShardRunner struct {
 	// assignment. The zero context stamps nothing.
 	Ctx     obs.TraceContext
 	benches map[string]*prepared
+	err     error // the Config's validation error, returned by every shard
 }
 
 // NewShardRunner builds a runner for the campaign Config. The Config is
-// normalised exactly like Run normalises it, so shard execution sees the
-// same effective knobs as an in-process campaign.
+// normalised and validated exactly like Run does it, so shard execution
+// sees the same effective knobs as an in-process campaign; a Config Run
+// would refuse fails every shard with the same error.
 func NewShardRunner(cfg Config) *ShardRunner {
-	return &ShardRunner{cfg: cfg.withDefaults(), benches: make(map[string]*prepared)}
+	cfg = cfg.withDefaults()
+	return &ShardRunner{cfg: cfg, benches: make(map[string]*prepared), err: cfg.Validate()}
 }
 
 // RunShard executes plan slots [lo, hi) of the workload and returns their
@@ -100,6 +103,9 @@ func NewShardRunner(cfg Config) *ShardRunner {
 // per shard — redundant but outcome-identical, so assembly stays
 // bit-exact and every shard stays independently leasable.
 func (r *ShardRunner) RunShard(spec bench.Spec, lo, hi int) ([]ShardOutcome, ShardMeta, error) {
+	if r.err != nil {
+		return nil, ShardMeta{}, r.err
+	}
 	p, ok := r.benches[spec.Name]
 	if !ok {
 		var err error

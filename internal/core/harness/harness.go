@@ -23,7 +23,8 @@ import (
 // attributes campaign time to its phase instead of one flat profile. The
 // labels are "golden-replay" (the plain golden run New validates),
 // "instrumented-replay" (the one replay that captures the ladder and/or
-// records liveness) and "shard-execution" (injection runs).
+// records liveness, or the beam's steady-state replay) and
+// "shard-execution" (injection runs).
 func Phased(phase string, fn func()) {
 	pprof.Do(context.Background(), pprof.Labels("phase", phase), func(context.Context) { fn() })
 }
@@ -63,6 +64,10 @@ type Workbench struct {
 	// provably-masked injections before simulating. Immutable once built;
 	// clones share it.
 	Liveness *soc.LivenessLog
+	// Steady is the state a warm golden run leaves the machine in, built
+	// on demand by BuildSteadyState for the beam simulator's live-board
+	// chains. Immutable once built; clones share it.
+	Steady *soc.SteadyState
 }
 
 // New builds a machine for the preset and model, loads the workload, boots,
@@ -144,11 +149,13 @@ func (w *Workbench) Clone() (*Workbench, error) {
 		Snap:     m.SaveSnapshot(),
 		Golden:   w.Golden,
 		Watchdog: w.Watchdog,
-		// The ladder and liveness log are immutable after capture and every
-		// restore path deep-copies state out of them, so siblings share one
-		// of each (their base snapshot is bit-equal to the sibling's own).
+		// The ladder, liveness log and steady state are immutable after
+		// capture and every restore path deep-copies state out of them, so
+		// siblings share one of each (their base snapshot is bit-equal to
+		// the sibling's own).
 		Ladder:   w.Ladder,
 		Liveness: w.Liveness,
+		Steady:   w.Steady,
 	}, nil
 }
 
@@ -211,13 +218,8 @@ func (w *Workbench) Instrument(every uint64, max int, live, warm bool) error {
 	} else {
 		final = log.Final
 	}
-	if !final.CleanExit() {
-		return fmt.Errorf("harness: instrumented replay of %s/%s did not exit cleanly: %v code=%#x",
-			w.Built.Spec.Name, w.Built.Scale, final.Outcome, final.ExitCode)
-	}
-	if !bytes.Equal(final.Output, w.Built.Golden) {
-		return fmt.Errorf("harness: instrumented replay output of %s/%s diverges from the native reference",
-			w.Built.Spec.Name, w.Built.Scale)
+	if err := w.validateReplay("instrumented replay", final); err != nil {
+		return err
 	}
 	if !warm && !reflect.DeepEqual(final, w.Golden) {
 		return fmt.Errorf("harness: instrumented replay of %s/%s is not bit-identical to the golden run (%+v vs %+v)",
@@ -228,6 +230,37 @@ func (w *Workbench) Instrument(every uint64, max int, live, warm bool) error {
 	}
 	if log != nil {
 		w.Liveness = log
+	}
+	return nil
+}
+
+// BuildSteadyState captures the state a fault-free warm golden run leaves
+// the machine in — the live board between executions — and installs it
+// as Steady once the run is validated against the golden reference like
+// an instrumented replay's. It captures no rungs and no fingerprint:
+// beam chains restore the end state only.
+func (w *Workbench) BuildSteadyState() error {
+	var s *soc.SteadyState
+	Phased("instrumented-replay", func() {
+		s = w.Machine.CaptureSteadyState(w.Snap, GoldenBudget)
+	})
+	if err := w.validateReplay("steady-state replay", s.Final); err != nil {
+		return err
+	}
+	w.Steady = s
+	return nil
+}
+
+// validateReplay checks that a replay of the workload exited cleanly with
+// the native reference output.
+func (w *Workbench) validateReplay(what string, final soc.Result) error {
+	if !final.CleanExit() {
+		return fmt.Errorf("harness: %s of %s/%s did not exit cleanly: %v code=%#x",
+			what, w.Built.Spec.Name, w.Built.Scale, final.Outcome, final.ExitCode)
+	}
+	if !bytes.Equal(final.Output, w.Built.Golden) {
+		return fmt.Errorf("harness: %s output of %s/%s diverges from the native reference",
+			what, w.Built.Spec.Name, w.Built.Scale)
 	}
 	return nil
 }

@@ -15,10 +15,16 @@ package sched
 
 import (
 	"context"
+	"errors"
 	"runtime"
 	"sync"
 	"time"
 )
+
+// ErrConfig marks a campaign configuration an engine refuses before it
+// runs anything; the campaign commands exit with status 2 on it, as on a
+// malformed flag.
+var ErrConfig = errors.New("invalid campaign configuration")
 
 // Resolve maps a requested worker count to an effective one: values below
 // one select runtime.GOMAXPROCS(0).

@@ -125,44 +125,65 @@ func TestSaveStateAgainstIdenticalOwnsNothing(t *testing.T) {
 
 // TestCacheStateAccountingDirectCount checks CacheState.MemoryBytes and
 // SharedBytes along a chain of saves against direct counts: the sets
-// whose metadata or bytes differ from the previous save, found by
+// whose metadata or live bytes differ from the previous save, found by
 // comparing the test's own copies of the cache arrays, and the bytes of
 // the blocks each save appended to the store. Every state refers to one
-// cache's worth of content, owned or shared.
+// entry per set and one data block per live set (a set with a valid
+// way), owned or shared.
 func TestCacheStateAccountingDirectCount(t *testing.T) {
 	c := NewCache(smallCacheCfg("c"), NewBus(NewDRAM(1<<16)))
 	rng := rand.New(rand.NewSource(5))
 	ways, setData := c.cfg.Ways, c.cfg.Ways*int(c.cfg.LineBytes)
 	entryBytes := ways*int(unsafe.Sizeof(lineMeta{})) + int(unsafe.Sizeof(uint32(0)))
-	full := int(c.sets) * (entryBytes + setData)
+	live := func(meta []lineMeta, s int) bool {
+		for _, ln := range meta[s*ways : (s+1)*ways] {
+			if ln.valid {
+				return true
+			}
+		}
+		return false
+	}
 
 	var prev *CacheState
 	var prevMeta []lineMeta
 	var prevData []byte
 	for round := 0; round < 40; round++ {
-		// Reads move LRU stamps only; writes and refills change bytes.
+		// Reads move LRU stamps only; writes and refills change bytes;
+		// invalidations leave sets with no valid way.
 		for i := rng.Intn(12); i > 0; i-- {
 			addr := uint32(rng.Intn(1<<12)) &^ 3
-			if rng.Intn(2) == 0 {
+			switch rng.Intn(5) {
+			case 0, 1:
 				c.Write(addr, 4, rng.Uint32())
-			} else {
+			case 2:
+				c.InvalidateRange(addr&^31, 64)
+			default:
 				c.Read(addr, 4)
 			}
 		}
-		nMeta, nData := int(c.sets), int(c.sets)
-		if prev != nil {
-			nMeta, nData = 0, 0
-			for s := 0; s < int(c.sets); s++ {
-				metaSame := metaEqual(c.meta[s*ways:(s+1)*ways], prevMeta[s*ways:(s+1)*ways])
-				dataSame := bytes.Equal(c.data[s*setData:(s+1)*setData], prevData[s*setData:(s+1)*setData])
-				if !metaSame || !dataSame {
+		nMeta, nData, liveSets := 0, 0, 0
+		for s := 0; s < int(c.sets); s++ {
+			if !live(c.meta, s) {
+				if prev == nil || !metaEqual(c.meta[s*ways:(s+1)*ways], prevMeta[s*ways:(s+1)*ways]) {
 					nMeta++
 				}
-				if !dataSame {
-					nData++
-				}
+				continue
+			}
+			liveSets++
+			metaSame, dataSame := false, false
+			if prev != nil {
+				metaSame = metaEqual(c.meta[s*ways:(s+1)*ways], prevMeta[s*ways:(s+1)*ways])
+				dataSame = live(prevMeta, s) &&
+					bytes.Equal(c.data[s*setData:(s+1)*setData], prevData[s*setData:(s+1)*setData])
+			}
+			if !metaSame || !dataSame {
+				nMeta++
+			}
+			if !dataSame {
+				nData++
 			}
 		}
+		full := int(c.sets)*entryBytes + liveSets*setData
 		var store *cacheStore
 		metaBlocks, dataBlocks := 0, 0
 		if prev != nil {
@@ -187,8 +208,8 @@ func TestCacheStateAccountingDirectCount(t *testing.T) {
 				round, nMeta, nData, st.MemoryBytes(), appended, want)
 		}
 		if st.MemoryBytes()+st.SharedBytes() != full {
-			t.Fatalf("round %d: owned %d + shared %d != one cache's content %d",
-				round, st.MemoryBytes(), st.SharedBytes(), full)
+			t.Fatalf("round %d: owned %d + shared %d != the content of %d sets, %d of them live: %d",
+				round, st.MemoryBytes(), st.SharedBytes(), c.sets, liveSets, full)
 		}
 		if st.IndexBytes() != int(c.sets)*4 {
 			t.Fatalf("round %d: index %d bytes for %d sets", round, st.IndexBytes(), c.sets)

@@ -13,6 +13,12 @@ import (
 // saved: RestoreState copies out of the store, and saves only append to
 // it, so content shared by consecutive rung states is never written
 // through.
+//
+// A state holds only content some later run can read. The bytes of a set
+// with no valid way are dead — fill overwrites a line's bytes before any
+// read, and HashLive skips invalid lines — so such a set is saved as
+// metadata alone and restored with zeroed bytes: a restore is a pure
+// function of the saved state, whatever the cache held before.
 type CacheState struct {
 	store *cacheStore
 	sets  []uint32 // per set: its entry in store
@@ -29,10 +35,11 @@ type CacheState struct {
 // saved states refers to: a snapshot's single state, or every rung of one
 // checkpoint ladder. A save that changes anything appends one exact-size
 // block of entries for its changed sets — each entry is the set's line
-// metadata plus the number of its data block — and one exact-size block
-// of data for the changed sets whose bytes changed. Metadata and data are
-// interned separately because a set that was only read since the last
-// save moved its LRU stamps but not its bytes.
+// metadata plus the number of its data block, or noData for a set with
+// no valid way — and one exact-size block of data for the changed live
+// sets whose bytes changed. Metadata and data are interned separately
+// because a set that was only read since the last save moved its LRU
+// stamps but not its bytes.
 //
 // Entries and data blocks are numbered by a uint32: the number of the
 // appended block, shifted left by setBits, plus the position within it.
@@ -45,9 +52,14 @@ type cacheStore struct {
 	data            [][]byte     // per data block: ways*lineBytes bytes per set
 }
 
+// noData is the data-block number of an entry whose set has no valid
+// way: no block stores its dead bytes. nextBlock never hands out the
+// block whose last position would collide with it.
+const noData = ^uint32(0)
+
 // Accounted sizes of stored set content (checkpoint-ladder memory
 // accounting): an entry holds a set's line metadata and its data-block
-// number; a data block holds a set's bytes.
+// number; a data block holds a live set's bytes.
 func (s *cacheStore) entryBytes() int {
 	return s.ways*int(unsafe.Sizeof(lineMeta{})) + int(unsafe.Sizeof(uint32(0)))
 }
@@ -59,19 +71,23 @@ func (s *cacheStore) entry(e uint32) ([]lineMeta, uint32) {
 	return s.meta[blk][pos*s.ways : (pos+1)*s.ways], s.dataOf[blk][pos]
 }
 
-// block returns the bytes of data block d.
+// block returns the bytes of data block d, nil for noData.
 func (s *cacheStore) block(d uint32) []byte {
+	if d == noData {
+		return nil
+	}
 	n := s.dataBytes()
 	blk, pos := d>>s.setBits, int(d&(1<<s.setBits-1))
 	return s.data[blk][pos*n : (pos+1)*n]
 }
 
 // nextBlock returns the number the next appended block gets, n blocks
-// already stored. Block numbers take the bits setBits leaves free; a
-// chain that exhausts them would hold more changed-set saves than any
-// ladder's rung count reaches.
+// already stored. Block numbers take the bits setBits leaves free, the
+// all-ones one excepted (it would reach noData); a chain that exhausts
+// them would hold more changed-set saves than any ladder's rung count
+// reaches.
 func (s *cacheStore) nextBlock(n int) uint32 {
-	if uint64(n) >= 1<<(32-s.setBits) {
+	if uint64(n) >= 1<<(32-s.setBits)-1 {
 		panic(fmt.Sprintf("mem: cache state store full: %d appended blocks", n))
 	}
 	return uint32(n) << s.setBits
@@ -81,7 +97,8 @@ func (s *cacheStore) nextBlock(n int) uint32 {
 const (
 	setShared  uint8 = iota // unchanged: reuse the previous state's entry
 	setNewMeta              // metadata changed, bytes did not: new entry, old data block
-	setNewData              // bytes changed: new entry and new data block
+	setNewData              // live and bytes changed: new entry and new data block
+	setNewDead              // no valid way, metadata changed: new entry, no data block
 )
 
 // SaveState captures the cache content into a store of its own.
@@ -89,12 +106,14 @@ func (c *Cache) SaveState() *CacheState { return c.SaveStateAgainst(nil) }
 
 // SaveStateAgainst captures the cache content like SaveState, but into
 // prev's store: every set whose ways all equal the same set of prev —
-// valid, dirty, tag, LRU stamp and data bytes — reuses prev's entry
-// instead of being copied, and a set whose metadata changed but whose
-// bytes did not reuses prev's data block. This is byte-verified
-// interning with no dirty-set tracking in the access path. prev must
-// come from a cache of the same geometry, and no other goroutine may use
-// states of prev's chain during the save; nil starts a new store.
+// valid, dirty, tag, LRU stamp and, for a set with a valid way, data
+// bytes — reuses prev's entry instead of being copied, and a live set
+// whose metadata changed but whose bytes did not reuses prev's data
+// block. A set with no valid way stores no bytes at all. This is
+// byte-verified interning with no dirty-set tracking in the access path.
+// prev must come from a cache of the same geometry, and no other
+// goroutine may use states of prev's chain during the save; nil starts a
+// new store.
 func (c *Cache) SaveStateAgainst(prev *CacheState) *CacheState {
 	ways, lb := c.cfg.Ways, int(c.cfg.LineBytes)
 	setData := ways * lb
@@ -110,16 +129,23 @@ func (c *Cache) SaveStateAgainst(prev *CacheState) *CacheState {
 	}
 	nMeta, nData := 0, 0
 	for s := range st.sets {
-		k := setNewData
+		live := c.live(s)
+		k := setNewDead
+		if live {
+			k = setNewData
+		}
 		if prev != nil {
 			pm, pd := store.entry(prev.sets[s])
 			metaSame := metaEqual(c.meta[s*ways:(s+1)*ways], pm)
-			dataSame := bytes.Equal(c.data[s*setData:(s+1)*setData], store.block(pd))
+			dataSame := live && bytes.Equal(c.data[s*setData:(s+1)*setData], store.block(pd))
 			switch {
-			case metaSame && dataSame:
+			case metaSame && (dataSame || !live):
 				k = setShared
 				st.sets[s] = prev.sets[s]
-				st.shared += store.entryBytes() + store.dataBytes()
+				st.shared += store.entryBytes()
+				if live {
+					st.shared += store.dataBytes()
+				}
 			case dataSame:
 				k = setNewMeta
 				st.shared += store.dataBytes()
@@ -154,12 +180,15 @@ func (c *Cache) SaveStateAgainst(prev *CacheState) *CacheState {
 			continue
 		}
 		copy(meta[im*ways:], c.meta[s*ways:(s+1)*ways])
-		if k == setNewData {
+		switch k {
+		case setNewData:
 			copy(data[id*setData:], c.data[s*setData:(s+1)*setData])
 			dataOf[im] = dataBase | uint32(id)
 			id++
-		} else {
+		case setNewMeta:
 			_, dataOf[im] = store.entry(prev.sets[s])
+		default:
+			dataOf[im] = noData
 		}
 		st.sets[s] = metaBase | uint32(im)
 		im++
@@ -173,6 +202,17 @@ func (c *Cache) SaveStateAgainst(prev *CacheState) *CacheState {
 	return st
 }
 
+// live reports whether set s has a valid way, that is, bytes some later
+// access can read.
+func (c *Cache) live(s int) bool {
+	for _, v := range c.mirValid[s*c.cfg.Ways : (s+1)*c.cfg.Ways] {
+		if v {
+			return true
+		}
+	}
+	return false
+}
+
 // metaEqual reports whether two sets hold the same line metadata.
 func metaEqual(a, b []lineMeta) bool {
 	for w := range a {
@@ -184,14 +224,20 @@ func metaEqual(a, b []lineMeta) bool {
 }
 
 // RestoreState restores content captured by SaveState on a cache with the
-// same geometry.
+// same geometry. A set saved without a valid way comes back with zeroed
+// bytes, so the restored cache depends on the state alone.
 func (c *Cache) RestoreState(st *CacheState) {
 	ways := c.cfg.Ways
 	setData := ways * int(c.cfg.LineBytes)
 	for s, e := range st.sets {
 		meta, d := st.store.entry(e)
 		copy(c.meta[s*ways:(s+1)*ways], meta)
-		copy(c.data[s*setData:(s+1)*setData], st.store.block(d))
+		dst := c.data[s*setData : (s+1)*setData]
+		if d == noData {
+			clear(dst)
+		} else {
+			copy(dst, st.store.block(d))
+		}
 	}
 	c.tick = st.tick
 	c.stats = st.stats
@@ -199,7 +245,8 @@ func (c *Cache) RestoreState(st *CacheState) {
 }
 
 // Equal reports whether two saved states hold identical content: tick,
-// statistics and every way of every set, whether copied or shared.
+// statistics, every way's metadata of every set and the bytes of every
+// live set, whether copied or shared.
 func (st *CacheState) Equal(o *CacheState) bool {
 	if st.tick != o.tick || st.stats != o.stats || len(st.sets) != len(o.sets) ||
 		st.store.ways != o.store.ways || st.store.lineBytes != o.store.lineBytes {

@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 )
@@ -132,5 +133,61 @@ func TestSaveStateAgainstInternsUntouchedSets(t *testing.T) {
 	c.FlipTagBit(5)
 	if !prev.Equal(prevCopy) || !st.Equal(stCopy) {
 		t.Fatal("mutating a restored cache wrote through into a saved state")
+	}
+}
+
+// TestDeadSetSavesNoData pins what a save keeps of a set with no valid
+// way: its metadata alone, no data block, and a restore that zeroes its
+// bytes whatever the cache held — while a live set's bytes, including
+// those of its invalid ways, round-trip exactly.
+func TestDeadSetSavesNoData(t *testing.T) {
+	c := NewCache(smallCacheCfg("c"), NewBus(NewDRAM(1<<16)))
+	rng := rand.New(rand.NewSource(3))
+	setData := c.cfg.Ways * int(c.cfg.LineBytes)
+	// Two live sets; every other set holds random dead bytes.
+	rng.Read(c.data)
+	c.Write(1<<c.offBits, 4, 0x11111111)
+	c.Write(5<<c.offBits, 4, 0x55555555)
+	liveSets := map[int]bool{1: true, 5: true}
+
+	st := c.SaveState()
+	want := int(c.sets)*st.store.entryBytes() + len(liveSets)*setData
+	if st.MemoryBytes() != want || len(st.store.data) != 1 || len(st.store.data[0]) != len(liveSets)*setData {
+		t.Fatalf("owned %d in %d data blocks, want %d with one block of %d live sets",
+			st.MemoryBytes(), len(st.store.data), want, len(liveSets))
+	}
+	for s := range st.sets {
+		if _, d := st.store.entry(st.sets[s]); (d == noData) == liveSets[s] {
+			t.Fatalf("set %d (live %v): data block %#x", s, liveSets[s], d)
+		}
+	}
+	saved := append([]byte(nil), c.data...)
+
+	rng.Read(c.data)
+	c.RestoreState(st)
+	for s := 0; s < int(c.sets); s++ {
+		got := c.data[s*setData : (s+1)*setData]
+		want := make([]byte, setData)
+		if liveSets[s] {
+			want = saved[s*setData : (s+1)*setData]
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("set %d (live %v): restored bytes % x, want % x", s, liveSets[s], got, want)
+		}
+	}
+	checkMirror(t, c)
+
+	// A set that dies is saved against its live predecessor as a new
+	// entry with no data block; an unchanged dead set is shared whatever
+	// its bytes.
+	c.InvalidateRange(5<<c.offBits, c.cfg.LineBytes)
+	c.data[3*setData] ^= 0xff
+	next := c.SaveStateAgainst(st)
+	if next.MemoryBytes() != next.store.entryBytes() || len(next.store.data) != 1 {
+		t.Fatalf("a set dying: owned %d, %d data blocks; want one entry, no block",
+			next.MemoryBytes(), len(next.store.data))
+	}
+	if _, d := next.store.entry(next.sets[5]); d != noData || next.sets[3] != st.sets[3] {
+		t.Fatalf("dead set 5 data block %#x; set 3 entry %#x, was %#x", d, next.sets[3], st.sets[3])
 	}
 }

@@ -328,7 +328,10 @@ func BuildManifest(kind string, inj *gefin.Config, bm *beam.Config, workloads []
 		if inj.Exhaustive {
 			return nil, fmt.Errorf("serve: exhaustive sweeps run locally only (the plan is enumerated from each workload's liveness replay, so shard ranges cannot be cut at submission time)")
 		}
-		if inj.FaultsPerComponent < 0 || inj.FaultsPerComponent > math.MaxInt32 {
+		if err := inj.Validate(); err != nil {
+			return nil, fmt.Errorf("serve: %w", err)
+		}
+		if inj.FaultsPerComponent > math.MaxInt32 {
 			return nil, fmt.Errorf("serve: %d faults per component is out of range", inj.FaultsPerComponent)
 		}
 		man.Injection = inj
@@ -360,6 +363,9 @@ func BuildManifest(kind string, inj *gefin.Config, bm *beam.Config, workloads []
 	case KindBeam:
 		if bm == nil {
 			return nil, fmt.Errorf("serve: beam campaign needs a beam config")
+		}
+		if err := bm.Validate(); err != nil {
+			return nil, fmt.Errorf("serve: %w", err)
 		}
 		man.Beam = bm
 		for _, w := range workloads {

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"armsefi/internal/core/beam"
 	"armsefi/internal/core/fault"
 	"armsefi/internal/core/gefin"
 )
@@ -350,6 +351,11 @@ func TestBuildManifestValidation(t *testing.T) {
 	for _, n := range []int{-1, math.MaxInt32 + 1, math.MaxInt64} {
 		if _, err := BuildManifest(KindInjection, &gefin.Config{FaultsPerComponent: n}, nil, []string{"crc32"}, 0); err == nil {
 			t.Errorf("%d faults per component accepted", n)
+		}
+	}
+	for _, bm := range []*beam.Config{{BeamHours: -1}, {StrikesPerComponent: -1}, {Flux: math.NaN()}} {
+		if _, err := BuildManifest(KindBeam, nil, bm, []string{"crc32"}, 0); err == nil {
+			t.Errorf("beam config %+v accepted", *bm)
 		}
 	}
 	// 6 x 2^20 slots at one slot per shard would queue 6M shards.

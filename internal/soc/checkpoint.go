@@ -27,10 +27,8 @@ import (
 )
 
 // Checkpoint is one ladder rung: the complete machine state at a cycle
-// boundary of the golden run, with DRAM stored as a frozen page image
-// (pages unwritten since the previous rung or the post-boot snapshot are
-// the same objects, and every worker of a pool shares them), plus the
-// state fingerprint used for the golden-convergence early exit.
+// boundary of the golden run, plus the state fingerprint used for the
+// golden-convergence early exit.
 type Checkpoint struct {
 	// Cycle is the core cycle counter at capture (run-relative ==
 	// absolute: golden runs start from LoadArch at cycle zero).
@@ -49,6 +47,14 @@ type Checkpoint struct {
 	// early-exit comparison checks it explicitly.
 	lastBeatAbs uint64
 
+	machineState
+}
+
+// machineState is the complete machine state a restore brings back, with
+// DRAM stored as a frozen page image (pages unwritten since the previous
+// capture or the post-boot snapshot are the same objects, and every
+// worker of a pool shares them).
+type machineState struct {
 	img   *mem.Image
 	micro *cpu.MicroState
 	l1i   *mem.CacheState
@@ -62,10 +68,10 @@ type Checkpoint struct {
 }
 
 // Ladder is the checkpoint ladder of one golden run: rung 0 is the
-// post-restore state at cycle zero, subsequent rungs are spaced
+// post-restore state at cycle zero, and subsequent rungs are spaced
 // EffectiveEvery cycles apart (first cycle boundary actually reached on
-// the atomic model, which can skip boundaries), and end is the machine
-// state the golden run left behind. Immutable after capture; safe to
+// the atomic model, which can skip boundaries). It holds no end state:
+// an injection run restores rungs only. Immutable after capture; safe to
 // restore concurrently into sibling machines.
 type Ladder struct {
 	// Final is the complete golden Result of the capture run; the early
@@ -76,7 +82,6 @@ type Ladder struct {
 	warm  bool
 	every uint64
 	rungs []*Checkpoint
-	end   *Checkpoint
 }
 
 // LadderStats reports what the ladder did for one injection run.
@@ -115,7 +120,7 @@ func (l *Ladder) EffectiveEvery() uint64 { return l.every }
 // rungs share is counted once — see SharedBytes for the saving.
 func (l *Ladder) MemoryBytes() int {
 	total, _ := mem.ImageBytes(l.base.dram, l.images())
-	for _, c := range l.checkpoints() {
+	for _, c := range l.rungs {
 		total += len(c.uart) + 1024 + c.micro.MemoryBytes()
 		for _, cs := range []*mem.CacheState{c.l1i, c.l1d, c.l2} {
 			total += cs.MemoryBytes() + cs.IndexBytes()
@@ -135,7 +140,7 @@ func (l *Ladder) MemoryBytes() int {
 // armsefi_ladder_shared_bytes metric surfaces this figure.
 func (l *Ladder) SharedBytes() int {
 	_, total := mem.ImageBytes(l.base.dram, l.images())
-	for _, c := range l.checkpoints() {
+	for _, c := range l.rungs {
 		for _, cs := range []*mem.CacheState{c.l1i, c.l1d, c.l2} {
 			total += cs.SharedBytes()
 		}
@@ -143,16 +148,10 @@ func (l *Ladder) SharedBytes() int {
 	return total
 }
 
-// checkpoints returns every captured checkpoint: the rungs, then the end
-// state.
-func (l *Ladder) checkpoints() []*Checkpoint {
-	return append(l.rungs[:len(l.rungs):len(l.rungs)], l.end)
-}
-
-// images returns every checkpoint's DRAM image.
+// images returns every rung's DRAM image.
 func (l *Ladder) images() []*mem.Image {
 	var imgs []*mem.Image
-	for _, c := range l.checkpoints() {
+	for _, c := range l.rungs {
 		imgs = append(imgs, c.img)
 	}
 	return imgs
@@ -219,65 +218,75 @@ func (m *Machine) microFPSum() uint64 {
 	return h.Sum()
 }
 
-// captureCheckpoint snapshots the full machine state mid-run. DRAM is
-// frozen in place: only pages written since the previous rung are new
-// objects (and hashed), the rest are shared with it. prev is the previously
-// captured rung (nil for rung 0): cache sets unchanged since it are
-// interned — byte-verified — instead of copied.
+// captureCheckpoint captures a ladder rung: the full machine state and
+// its fingerprint. prev is the previously captured rung (nil for rung 0).
 func (m *Machine) captureCheckpoint(lastBeatAbs uint64, prev *Checkpoint) *Checkpoint {
 	// One hasher pass yields both stages: microFP is the running sum
 	// before the DRAM page fingerprints are folded in, Fingerprint after.
 	h := mem.NewHasher()
 	m.microFingerprint(h)
-	micro := h.Sum()
-	img := m.DRAM.Freeze()
-	img.FoldHashes(h)
+	c := &Checkpoint{Cycle: m.core.Cycles(), microFP: h.Sum(), lastBeatAbs: lastBeatAbs}
+	var prevState *machineState
+	if prev != nil {
+		prevState = &prev.machineState
+	}
+	c.machineState = m.saveState(prevState)
+	c.img.FoldHashes(h)
+	c.Fingerprint = h.Sum()
+	return c
+}
+
+// saveState captures the full machine state. DRAM is frozen in place:
+// only pages written since the previous capture are new objects (and
+// hashed), the rest are shared with it. Cache sets unchanged since prev
+// (nil: a capture of its own) are interned — byte-verified — instead of
+// copied.
+func (m *Machine) saveState(prev *machineState) machineState {
 	var prevL1I, prevL1D, prevL2 *mem.CacheState
 	if prev != nil {
 		prevL1I, prevL1D, prevL2 = prev.l1i, prev.l1d, prev.l2
 	}
-	return &Checkpoint{
-		Cycle:       m.core.Cycles(),
-		Fingerprint: h.Sum(),
-		microFP:     micro,
-		lastBeatAbs: lastBeatAbs,
-		img:         img,
-		micro:       m.core.SaveMicro(),
-		l1i:         m.Mem.L1I.SaveStateAgainst(prevL1I),
-		l1d:         m.Mem.L1D.SaveStateAgainst(prevL1D),
-		l2:          m.Mem.L2.SaveStateAgainst(prevL2),
-		itlb:        m.Mem.ITLB.SaveState(),
-		dtlb:        m.Mem.DTLB.SaveState(),
-		timer:       m.Timer.save(),
-		sysc:        m.SysCtl.save(),
-		uart:        m.UART.Output(),
+	return machineState{
+		img:   m.DRAM.Freeze(),
+		micro: m.core.SaveMicro(),
+		l1i:   m.Mem.L1I.SaveStateAgainst(prevL1I),
+		l1d:   m.Mem.L1D.SaveStateAgainst(prevL1D),
+		l2:    m.Mem.L2.SaveStateAgainst(prevL2),
+		itlb:  m.Mem.ITLB.SaveState(),
+		dtlb:  m.Mem.DTLB.SaveState(),
+		timer: m.Timer.save(),
+		sysc:  m.SysCtl.save(),
+		uart:  m.UART.Output(),
 	}
 }
 
 // RestoreCheckpoint brings the machine to the exact state of a ladder
-// rung; DRAM restores by sharing the rung's pages. The core micro-state
-// is loaded first (it sets the TTBR, which may invalidate TLBs on change)
-// and the TLB content after.
-func (m *Machine) RestoreCheckpoint(c *Checkpoint) {
-	m.DRAM.Restore(c.img, 0)
-	m.core.LoadMicro(c.micro)
-	m.Mem.L1I.RestoreState(c.l1i)
-	m.Mem.L1D.RestoreState(c.l1d)
-	m.Mem.L2.RestoreState(c.l2)
-	m.Mem.ITLB.RestoreState(c.itlb)
-	m.Mem.DTLB.RestoreState(c.dtlb)
-	m.Timer.restore(c.timer)
-	m.SysCtl.restore(c.sysc)
-	m.UART.Restore(c.uart)
+// rung.
+func (m *Machine) RestoreCheckpoint(c *Checkpoint) { m.restoreState(&c.machineState) }
+
+// restoreState brings the machine to a captured state; DRAM restores by
+// sharing the capture's pages. The core micro-state is loaded first (it
+// sets the TTBR, which may invalidate TLBs on change) and the TLB content
+// after.
+func (m *Machine) restoreState(s *machineState) {
+	m.DRAM.Restore(s.img, 0)
+	m.core.LoadMicro(s.micro)
+	m.Mem.L1I.RestoreState(s.l1i)
+	m.Mem.L1D.RestoreState(s.l1d)
+	m.Mem.L2.RestoreState(s.l2)
+	m.Mem.ITLB.RestoreState(s.itlb)
+	m.Mem.DTLB.RestoreState(s.dtlb)
+	m.Timer.restore(s.timer)
+	m.SysCtl.restore(s.sysc)
+	m.UART.Restore(s.uart)
 }
 
 // ReplayGolden performs the instrumented golden replay: restore the
 // post-boot snapshot (warm or cold exactly as injection runs will), run
 // fault-free to completion, and record what the campaign engines ask for
 // in one pass. every > 0 captures the checkpoint ladder — a rung at cycle
-// zero, at every rung boundary reached (at most max mid-run rungs; rung 0
-// and the end state are always kept) and at the end; every == 0 captures
-// none. live attaches liveness recorders to every cache and TLB. Capture
+// zero and at every rung boundary reached (at most max mid-run rungs;
+// rung 0 is always kept); every == 0 captures none. live attaches liveness recorders to every cache and TLB. Capture
 // only reads machine state and emits no recorder events, so one replay
 // yields exactly what two separate ones would, and Final (the same Result
 // in both products) is what a plain golden run produces. The machine is
@@ -310,7 +319,6 @@ func (m *Machine) ReplayGolden(base *Snapshot, warm bool, every uint64, max int,
 	})
 	if l != nil {
 		l.Final = res
-		l.end = m.captureCheckpoint(res.LastBeatCycle, l.rungs[len(l.rungs)-1])
 	}
 	if log != nil {
 		log.Final = res
@@ -388,12 +396,33 @@ func (m *Machine) RunLadderInjection(l *Ladder, watchdog, injectAt uint64, injec
 	return res, stats
 }
 
-// FastForwardGolden replaces a fault-free full run: it restores the
-// machine to the exact end state of the golden capture run and returns
-// the golden Result. The beam simulator uses it for the steady-state and
-// reboot runs of its strike chains, whose live-board semantics allow no
-// other reordering.
-func (m *Machine) FastForwardGolden(l *Ladder) Result {
-	m.RestoreCheckpoint(l.end)
-	return l.Final
+// SteadyState is the state a fault-free warm golden run leaves the
+// machine in, with that run's Result: the live board between executions,
+// where the beam simulator's strike chains start and every post-crash
+// reboot returns to. Nothing compares against it, so it carries no
+// fingerprint. Immutable after capture; safe to restore concurrently
+// into sibling machines.
+type SteadyState struct {
+	// Final is the Result of the warm golden run.
+	Final Result
+
+	end machineState
+}
+
+// CaptureSteadyState restores the post-boot snapshot warm, runs
+// fault-free to completion within budget, and captures the state the run
+// leaves behind. The machine is left in that state.
+func (m *Machine) CaptureSteadyState(base *Snapshot, budget uint64) *SteadyState {
+	m.RestoreSnapshot(base, true)
+	res := m.Run(budget)
+	return &SteadyState{Final: res, end: m.saveState(nil)}
+}
+
+// FastForwardGolden replaces a fault-free warm full run: it restores the
+// machine to the exact steady state and returns the golden Result. The
+// beam simulator uses it for the steady-state and reboot runs of its
+// strike chains, whose live-board semantics allow no other reordering.
+func (m *Machine) FastForwardGolden(s *SteadyState) Result {
+	m.restoreState(&s.end)
+	return s.Final
 }

@@ -8,9 +8,8 @@ import (
 	"armsefi/internal/mem"
 )
 
-// Checkpoints exposes every captured checkpoint (rungs, then the end
-// state) to the external test package.
-func (l *Ladder) Checkpoints() []*Checkpoint { return l.checkpoints() }
+// Checkpoints exposes the ladder's rungs to the external test package.
+func (l *Ladder) Checkpoints() []*Checkpoint { return l.rungs }
 
 // CacheStates returns the checkpoint's saved L1I, L1D and L2 states.
 func (c *Checkpoint) CacheStates() [3]*mem.CacheState { return [3]*mem.CacheState{c.l1i, c.l1d, c.l2} }
@@ -28,9 +27,8 @@ func LadderDiff(a, b *Ladder) error {
 	if !reflect.DeepEqual(a.Final, b.Final) {
 		return fmt.Errorf("Final %+v != %+v", a.Final, b.Final)
 	}
-	bc := b.checkpoints()
-	for i, x := range a.checkpoints() {
-		y := bc[i]
+	for i, x := range a.rungs {
+		y := b.rungs[i]
 		switch {
 		case x.Cycle != y.Cycle || x.Fingerprint != y.Fingerprint || x.microFP != y.microFP ||
 			x.lastBeatAbs != y.lastBeatAbs:

@@ -19,10 +19,12 @@ func liveHeap() uint64 {
 // accounting against direct counts. MemoryBytes must match the heap the
 // ladder alone keeps alive — measured by dropping the ladder, with the
 // machine and snapshot still held, and collecting — to within 2%. For
-// SharedBytes, every rung's cache state refers to one full cache's
-// content, so the cache part of what a copy per rung would have
-// duplicated is that full size per rung minus what the states own; the
-// rest is DRAM pages referenced by more than one image.
+// SharedBytes, every rung's cache state refers to the content a save of
+// its own would copy — counted by restoring the rung into a second
+// machine and saving its caches there — so the cache part of what a
+// copy per rung would have duplicated is that size per rung minus what
+// the states own; the rest is DRAM pages referenced by more than one
+// image.
 func TestLadderMemoryAccountingDirectCount(t *testing.T) {
 	for _, model := range []ModelKind{ModelAtomic, ModelDetailed} {
 		for _, warm := range []bool{false, true} {
@@ -32,16 +34,19 @@ func TestLadderMemoryAccountingDirectCount(t *testing.T) {
 			with := liveHeap()
 			memBytes, sharedBytes := l.MemoryBytes(), l.SharedBytes()
 
-			// Rung 0 is saved against nothing, so it owns a full copy.
+			// A state saved against nothing owns a full copy.
 			states := func(c *Checkpoint) []*mem.CacheState { return []*mem.CacheState{c.l1i, c.l1d, c.l2} }
+			own := bootMachine(t, model, ladderAppSource)
 			cacheShared, copyPerRung := 0, 0
-			for ci, full := range states(l.rungs[0]) {
-				for _, c := range l.checkpoints() {
-					cs := states(c)[ci]
+			for _, c := range l.rungs {
+				own.RestoreCheckpoint(c)
+				copies := []*mem.CacheState{own.Mem.L1I.SaveState(), own.Mem.L1D.SaveState(), own.Mem.L2.SaveState()}
+				for ci, cs := range states(c) {
 					cacheShared += cs.SharedBytes()
-					copyPerRung += full.MemoryBytes() - cs.MemoryBytes()
+					copyPerRung += copies[ci].MemoryBytes() - cs.MemoryBytes()
 				}
 			}
+			own = nil
 			_, dramShared := mem.ImageBytes(l.base.dram, l.images())
 			if cacheShared != copyPerRung || sharedBytes != dramShared+cacheShared {
 				t.Errorf("%v warm=%v: SharedBytes %d (cache %d), direct count: cache %d + DRAM %d",
