@@ -21,7 +21,8 @@
 // The coordinator serves the fleet dashboard at /fleet, its JSON feed at
 // /api/v1/fleet, each campaign's merged fleet trace at
 // /api/v1/campaigns/{id}/trace, and its merged convergence view at
-// /api/v1/campaigns/{id}/convergence (watch it live with convwatch).
+// /api/v1/campaigns/{id}/convergence (watch it live with tracestat
+// -remote URL -campaign ID -follow).
 // -telemetry-every 0 disables federation.
 //
 // SIGINT/SIGTERM drain gracefully: workers stop claiming new shards,

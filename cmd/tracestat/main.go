@@ -1,43 +1,51 @@
-// Command tracestat recomputes campaign statistics from JSONL lifecycle
-// traces (written by gefin/beamsim/fitcompare via -trace, federated by
-// campaignd, or fetched from a coordinator) and optionally cross-checks
-// them against the engine's own exported Result, exiting nonzero on any
-// disagreement. This closes the observability loop: the trace is an
-// independent record of every injection and strike, so exact agreement
-// with the aggregate Result certifies both — including a multi-node
-// campaign's merged fleet trace against its distributed Result.
+// Command tracestat inspects campaigns: it reads JSONL lifecycle traces
+// (gefin/beamsim/fitcompare -trace, or campaignd's merged fleet traces)
+// into one summary, prints every table the trace supports, and
+// cross-checks the trace against the engine's exported Result, exiting
+// nonzero on any disagreement. The trace records every injection and
+// strike independently, so exact agreement with the aggregate Result
+// certifies both, for a multi-node campaign's merged fleet trace too.
+//
+// The tables, as the trace supports them: outcome classes per workload x
+// component; for provenance traces (-prov), per-workload masking
+// mechanisms — the "why was this fault masked?" decomposition the
+// paper's Section V discusses qualitatively; for pruned or deduplicated
+// campaigns, the predicted / deduped / simulated split; and for
+// convergence-observed campaigns, the final estimators' achieved margins
+// and the faults sequential early stopping saved.
 //
 // Usage:
 //
 //	tracestat trace.jsonl
 //	tracestat node-a.jsonl node-b.jsonl          # merge several nodes' traces
+//	tracestat -workload crc32 -json report.json trace.jsonl
 //	tracestat -against gefin-result.json trace.jsonl
 //	tracestat -against-beam beam-result.json trace.jsonl
 //	tracestat -require-prov -against gefin-result.json trace.jsonl
-//	tracestat -remote http://host:8440 -campaign ID
+//	tracestat -remote http://host:8440               # list campaigns
+//	tracestat -remote http://host:8440 -campaign ID [-follow]
 //
-// With -remote and -campaign, the campaign's merged fleet trace and its
-// assembled Result are both fetched from the coordinator and verified
-// against each other (exact counts; bit-identical beam event sums).
+// With -remote and -campaign, tracestat renders the coordinator's merged
+// convergence view; -follow redraws it every 2 s until the campaign
+// completes, is cancelled, or every estimator meets the target margin.
+// A complete campaign's merged fleet trace and assembled Result are then
+// fetched and verified against each other (exact counts; bit-identical
+// beam event sums); a campaign still running stops after the view.
 //
-// When the trace carries propagation provenance, the mechanism verdicts
-// are verified to partition the outcome classes exactly (always; the
-// -require-prov flag additionally fails traces without provenance).
-// Pruned campaigns (gefin -prune) are accepted: their predicted records
-// carry masking-mechanism verdicts even without -prov, are verified to
-// be consistent (masked class, masking mechanism, bounded by the masked
-// outcome count), and the trace's predicted/simulated split is
-// cross-checked against the assembled Result's prune summary.
+// Every run verifies that the mechanism verdicts a trace carries
+// partition its outcome classes exactly; -require-prov also fails a trace
+// without them. A pruned campaign's (gefin -prune) predicted records
+// carry verdicts even without -prov: they must be masked with a masking
+// mechanism, and their count must match the Result's prune summary.
 package main
 
 import (
-	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"time"
 
 	"armsefi/internal/core/beam"
@@ -47,43 +55,82 @@ import (
 	"armsefi/internal/serve"
 )
 
+// pollEvery is the redraw interval of -follow.
+const pollEvery = 2 * time.Second
+
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil && !errors.Is(err, flag.ErrHelp) {
 		fmt.Fprintln(os.Stderr, "tracestat:", err)
 		os.Exit(1)
 	}
 }
 
-// run executes one tracestat invocation; a nil return is exit status 0.
-func run(args []string) error {
-	fs := flag.NewFlagSet("tracestat", flag.ExitOnError)
+// check verifies a trace summary against one campaign Result, printing
+// its verdicts to out, and returns the mismatch count, as verifyInjection
+// and verifyBeam do.
+type check func(s *obs.Summary, out io.Writer) int
+
+// inspection is what one invocation prints and verifies, wherever the
+// trace comes from.
+type inspection struct {
+	workload, jsonOut  string
+	requireProv, quiet bool
+	checks             []check
+}
+
+// run is the command: args without the program name; tables and
+// verdicts go to stdout, flag diagnostics to stderr. A trace path of "-"
+// reads standard input.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("tracestat", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
+		in          inspection
 		against     = fs.String("against", "", "verify the trace against a gefin campaign Result JSON")
 		againstBeam = fs.String("against-beam", "", "verify the trace against a beam campaign Result JSON")
-		remote      = fs.String("remote", "", "coordinator URL: fetch the campaign's merged fleet trace and Result")
-		campaignID  = fs.String("campaign", "", "campaign id on the remote coordinator")
-		requireProv = fs.Bool("require-prov", false,
-			"fail unless every record carries a provenance mechanism verdict")
-		quiet = fs.Bool("quiet", false, "suppress the summary tables; print verification results only")
+		remote      = fs.String("remote", "", "coordinator URL: list its campaigns, or inspect the -campaign")
+		campaignID  = fs.String("campaign", "", "campaign id on the remote coordinator: render its convergence view and, once complete, verify its merged fleet trace against its Result")
+		follow      = fs.Bool("follow", false, "with -campaign, redraw the view until the campaign completes, is cancelled, or every estimator meets the target margin")
 	)
+	fs.BoolVar(&in.requireProv, "require-prov", false, "fail unless every record carries a provenance mechanism verdict")
+	fs.BoolVar(&in.quiet, "quiet", false, "suppress the summary tables; print verification results only")
+	fs.StringVar(&in.workload, "workload", "", "restrict the mechanism, split and convergence tables to one workload")
+	fs.StringVar(&in.jsonOut, "json", "", "also write the masking-mechanism rows as JSON to this file")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if (*remote == "") != (*campaignID == "") {
-		return fmt.Errorf("-remote and -campaign go together")
+	for _, r := range []struct{ path, kind string }{{*against, serve.KindInjection}, {*againstBeam, serve.KindBeam}} {
+		if r.path == "" {
+			continue
+		}
+		raw, err := os.ReadFile(r.path)
+		if err != nil {
+			return err
+		}
+		c, err := resultCheck(r.kind, raw, r.path)
+		if err != nil {
+			return err
+		}
+		in.checks = append(in.checks, c)
 	}
-	if fs.NArg() == 0 && *remote == "" {
+
+	switch {
+	case *campaignID != "" && *remote == "":
+		return fmt.Errorf("-campaign needs -remote")
+	case *follow && *campaignID == "":
+		return fmt.Errorf("-follow needs -remote and -campaign")
+	case *remote != "" && fs.NArg() > 0:
+		return fmt.Errorf("-remote reads the coordinator's trace, not trace files")
+	case *remote != "" && *campaignID == "":
+		return list(&serve.Client{Base: *remote}, stdout)
+	case *remote != "":
+		return in.remote(&serve.Client{Base: *remote}, *campaignID, *follow, pollEvery, stdout)
+	case fs.NArg() == 0:
 		return fmt.Errorf("usage: tracestat [-against result.json | -against-beam result.json] trace.jsonl...\n" +
-			"       tracestat -remote http://host:8440 -campaign ID")
+			"       tracestat -remote http://host:8440 [-campaign ID [-follow]]")
 	}
 
 	var readers []io.Reader
-	var closers []io.Closer
-	defer func() {
-		for _, c := range closers {
-			c.Close()
-		}
-	}()
 	for _, path := range fs.Args() {
 		if path == "-" {
 			readers = append(readers, os.Stdin)
@@ -93,36 +140,41 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		closers = append(closers, f)
+		defer f.Close()
 		readers = append(readers, f)
 	}
-
-	var client *serve.Client
-	if *remote != "" {
-		client = &serve.Client{Base: *remote}
-		trace, err := client.Trace(*campaignID)
-		if err != nil {
-			return err
-		}
-		readers = append(readers, bytes.NewReader(trace))
-	}
-
 	sum, err := obs.ReadSummary(io.MultiReader(readers...))
 	if err != nil {
 		return err
 	}
-	if !*quiet {
-		printSummary(sum)
+	return in.inspect(sum, stdout)
+}
+
+// inspect prints every table the summary supports, writes the -json
+// export, and runs the provenance check and the Result checks.
+func (in *inspection) inspect(sum *obs.Summary, out io.Writer) error {
+	if in.workload != "" && !hasWorkload(sum, in.workload) {
+		return fmt.Errorf("workload %q is not in the trace", in.workload)
 	}
-	failures := verifyProvenance(sum, *requireProv)
-	if client != nil {
-		failures += verifyRemote(sum, client, *campaignID)
+	rows := mechanismRows(sum, in.workload)
+	if !in.quiet {
+		printSummary(out, sum)
+		printTables(out, rows)
+		printSplit(out, sum, in.workload)
+		printConvergence(out, sum, in.workload)
 	}
-	if *against != "" {
-		failures += verifyInjection(sum, *against)
+	if in.jsonOut != "" {
+		data, err := json.MarshalIndent(rows, "", "  ")
+		if err != nil {
+			return err
+		}
+		if err := os.WriteFile(in.jsonOut, data, 0o644); err != nil {
+			return err
+		}
 	}
-	if *againstBeam != "" {
-		failures += verifyBeam(sum, *againstBeam)
+	failures := verifyProvenance(out, sum, in.requireProv)
+	for _, c := range in.checks {
+		failures += c(sum, out)
 	}
 	if failures > 0 {
 		return fmt.Errorf("%d verification failure(s)", failures)
@@ -130,40 +182,33 @@ func run(args []string) error {
 	return nil
 }
 
-// verifyRemote fetches the campaign's assembled Result from the
-// coordinator and cross-checks the merged trace against it, picking the
-// verifier by campaign kind.
-func verifyRemote(s *obs.Summary, client *serve.Client, id string) int {
-	st, err := client.Status(id)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "tracestat:", err)
-		return 1
+func hasWorkload(s *obs.Summary, name string) bool {
+	for _, k := range s.ByKind {
+		if _, ok := k.Workloads[name]; ok {
+			return true
+		}
 	}
-	raw, err := client.RawResults(id)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "tracestat:", err)
-		return 1
-	}
-	label := fmt.Sprintf("remote campaign %s", id)
-	switch st.Kind {
+	return false
+}
+
+// resultCheck decodes a campaign Result of the given kind and returns the
+// check of a trace against it; label names the Result in the verdicts.
+func resultCheck(kind string, raw []byte, label string) (check, error) {
+	switch kind {
 	case serve.KindInjection:
 		var res gefin.Result
 		if err := json.Unmarshal(raw, &res); err != nil {
-			fmt.Fprintln(os.Stderr, "tracestat:", err)
-			return 1
+			return nil, fmt.Errorf("%s: %w", label, err)
 		}
-		return verifyInjectionResult(s, &res, label)
+		return func(s *obs.Summary, out io.Writer) int { return verifyInjection(out, s, &res, label) }, nil
 	case serve.KindBeam:
 		var res beam.Result
 		if err := json.Unmarshal(raw, &res); err != nil {
-			fmt.Fprintln(os.Stderr, "tracestat:", err)
-			return 1
+			return nil, fmt.Errorf("%s: %w", label, err)
 		}
-		return verifyBeamResult(s, &res, label)
-	default:
-		fmt.Printf("MISMATCH %s: unknown campaign kind %q\n", id, st.Kind)
-		return 1
+		return func(s *obs.Summary, out io.Writer) int { return verifyBeam(out, s, &res, label) }, nil
 	}
+	return nil, fmt.Errorf("%s: unknown campaign kind %q", label, kind)
 }
 
 // verifyProvenance cross-checks the mechanism verdicts against the outcome
@@ -174,27 +219,21 @@ func verifyRemote(s *obs.Summary, client *serve.Client, id string) int {
 // Masked count, propagated-sdc equals the SDC count, and the trap/timeout
 // routes together equal the two crash counts. With require set, a trace
 // without provenance is itself a failure. Returns the mismatch count.
-func verifyProvenance(s *obs.Summary, require bool) int {
-	failures := 0
-	checked, withProv := 0, 0
+func verifyProvenance(out io.Writer, s *obs.Summary, require bool) int {
+	failures, withProv := 0, 0
 	for _, kind := range []string{obs.KindInjection, obs.KindStrike} {
-		k, ok := s.ByKind[kind]
-		if !ok {
-			continue
-		}
-		for name, w := range k.Workloads {
+		for name, w := range s.Kind(kind).Workloads {
 			for comp, c := range w.Components {
-				checked++
 				if c.MechRecords == 0 {
 					if require {
-						fmt.Printf("MISMATCH %s/%s: no record carries a mechanism verdict\n", name, comp)
+						fmt.Fprintf(out, "MISMATCH %s/%s: no record carries a mechanism verdict\n", name, comp)
 						failures++
 					}
 					continue
 				}
 				withProv++
 				if c.PredBad > 0 {
-					fmt.Printf("MISMATCH %s/%s: %d predicted records are not masked with a masking mechanism\n",
+					fmt.Fprintf(out, "MISMATCH %s/%s: %d predicted records are not masked with a masking mechanism\n",
 						name, comp, c.PredBad)
 					failures++
 				}
@@ -209,18 +248,18 @@ func verifyProvenance(s *obs.Summary, require bool) int {
 							predMasked += n
 						}
 						if predMasked > c.Counts[fault.ClassMasked] {
-							fmt.Printf("MISMATCH %s/%s: %d predicted-masked records exceed the %d masked outcomes\n",
+							fmt.Fprintf(out, "MISMATCH %s/%s: %d predicted-masked records exceed the %d masked outcomes\n",
 								name, comp, predMasked, c.Counts[fault.ClassMasked])
 							failures++
 						}
 						continue
 					}
-					fmt.Printf("MISMATCH %s/%s: %d of %d records carry a mechanism verdict\n",
+					fmt.Fprintf(out, "MISMATCH %s/%s: %d of %d records carry a mechanism verdict\n",
 						name, comp, c.MechRecords, c.Records)
 					failures++
 				}
 				if c.MechMismatch > 0 {
-					fmt.Printf("MISMATCH %s/%s: %d mechanism verdicts contradict their outcome class\n",
+					fmt.Fprintf(out, "MISMATCH %s/%s: %d mechanism verdicts contradict their outcome class\n",
 						name, comp, c.MechMismatch)
 					failures++
 				}
@@ -231,101 +270,32 @@ func verifyProvenance(s *obs.Summary, require bool) int {
 					}
 				}
 				crash := c.Mechanisms[fault.MechPropagatedTrap] + c.Mechanisms[fault.MechPropagatedTimeout]
-				parts := []struct {
-					label string
-					got   int
-					want  int
-				}{
-					{"masked mechanisms", masked, c.Counts[fault.ClassMasked]},
-					{"propagated-sdc", c.Mechanisms[fault.MechPropagatedSDC], c.Counts[fault.ClassSDC]},
-					{"crash mechanisms", crash, c.Counts[fault.ClassAppCrash] + c.Counts[fault.ClassSysCrash]},
-				}
-				for _, p := range parts {
-					if p.got != p.want {
-						fmt.Printf("MISMATCH %s/%s: %s sum to %d, classes count %d\n",
-							name, comp, p.label, p.got, p.want)
+				partition := func(label string, got, want int) {
+					if got != want {
+						fmt.Fprintf(out, "MISMATCH %s/%s: %s sum to %d, classes count %d\n", name, comp, label, got, want)
 						failures++
 					}
 				}
+				partition("masked mechanisms", masked, c.Counts[fault.ClassMasked])
+				partition("propagated-sdc", c.Mechanisms[fault.MechPropagatedSDC], c.Counts[fault.ClassSDC])
+				partition("crash mechanisms", crash, c.Counts[fault.ClassAppCrash]+c.Counts[fault.ClassSysCrash])
 			}
 		}
 	}
 	if require && withProv == 0 && failures == 0 {
-		fmt.Println("MISMATCH: trace carries no provenance at all")
+		fmt.Fprintln(out, "MISMATCH: trace carries no provenance at all")
 		failures++
 	}
 	if failures == 0 && withProv > 0 {
-		fmt.Printf("OK: mechanism verdicts partition the outcome classes (%d workload x component groups)\n", withProv)
+		fmt.Fprintf(out, "OK: mechanism verdicts partition the outcome classes (%d workload x component groups)\n", withProv)
 	}
 	return failures
 }
 
-// printSummary renders the per-kind class tables, the worker distribution,
-// and the wall-time quantiles.
-func printSummary(s *obs.Summary) {
-	fmt.Printf("trace: %d records\n", s.Records)
-	for _, kind := range []string{obs.KindInjection, obs.KindStrike} {
-		k, ok := s.ByKind[kind]
-		if !ok {
-			continue
-		}
-		fmt.Printf("\n%s records: %d\n", kind, k.Records)
-		names := make([]string, 0, len(k.Workloads))
-		for name := range k.Workloads {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		fmt.Printf("  %-12s %-10s %8s", "workload", "component", "records")
-		for _, cls := range fault.Classes() {
-			fmt.Printf(" %10s", cls)
-		}
-		fmt.Println()
-		for _, name := range names {
-			w := k.Workloads[name]
-			comps := make([]fault.Component, 0, len(w.Components))
-			for comp := range w.Components {
-				comps = append(comps, comp)
-			}
-			sort.Slice(comps, func(i, j int) bool { return comps[i] < comps[j] })
-			for _, comp := range comps {
-				c := w.Components[comp]
-				fmt.Printf("  %-12s %-10s %8d", name, comp, c.Records)
-				for _, cls := range fault.Classes() {
-					fmt.Printf(" %10d", c.Counts[cls])
-				}
-				fmt.Println()
-			}
-		}
-	}
-
-	workers := make([]int, 0, len(s.Workers))
-	for w := range s.Workers {
-		workers = append(workers, w)
-	}
-	sort.Ints(workers)
-	fmt.Printf("\nper-worker records:")
-	for _, w := range workers {
-		fmt.Printf(" w%d=%d", w, s.Workers[w])
-	}
-	fmt.Println()
-	fmt.Printf("experiment wall time: p50=%v p90=%v p99=%v max=%v\n",
-		time.Duration(s.WallQuantile(0.50)), time.Duration(s.WallQuantile(0.90)),
-		time.Duration(s.WallQuantile(0.99)), time.Duration(s.WallQuantile(1.0)))
-}
-
-// verifyInjection cross-checks the trace against a gefin Result export:
-// every workload x component class count must match exactly, and the trace
-// must contain exactly N records per component. Returns the mismatch count.
-func verifyInjection(s *obs.Summary, path string) int {
-	var res gefin.Result
-	if err := readJSON(path, &res); err != nil {
-		fmt.Fprintln(os.Stderr, "tracestat:", err)
-		return 1
-	}
-	return verifyInjectionResult(s, &res, path)
-}
-
-func verifyInjectionResult(s *obs.Summary, res *gefin.Result, label string) int {
+// verifyInjection cross-checks the trace against a gefin Result: every
+// workload x component class count must match exactly, and the trace
+// must contain exactly N records per component.
+func verifyInjection(out io.Writer, s *obs.Summary, res *gefin.Result, label string) int {
 	failures := 0
 	pred, sim := 0, 0
 	for _, w := range res.Workloads {
@@ -334,13 +304,13 @@ func verifyInjectionResult(s *obs.Summary, res *gefin.Result, label string) int 
 			pred += c.Predicted
 			sim += c.Records - c.Predicted
 			if c.Records != cr.N {
-				fmt.Printf("MISMATCH %s/%s: trace has %d records, result expects %d\n",
+				fmt.Fprintf(out, "MISMATCH %s/%s: trace has %d records, result expects %d\n",
 					w.Workload, cr.Comp, c.Records, cr.N)
 				failures++
 			}
 			for _, cls := range fault.Classes() {
 				if c.Counts[cls] != cr.Counts[cls] {
-					fmt.Printf("MISMATCH %s/%s/%s: trace counts %d, result counts %d\n",
+					fmt.Fprintf(out, "MISMATCH %s/%s/%s: trace counts %d, result counts %d\n",
 						w.Workload, cr.Comp, cls, c.Counts[cls], cr.Counts[cls])
 					failures++
 				}
@@ -353,33 +323,24 @@ func verifyInjectionResult(s *obs.Summary, res *gefin.Result, label string) int 
 	// no predicted records there — nothing to cross-check.)
 	if ps := res.Prune; ps != nil && ps.Verified == 0 {
 		if pred != ps.Predicted || sim != ps.Simulated {
-			fmt.Printf("MISMATCH prune split: trace has %d predicted / %d simulated records, result summarises %d / %d\n",
+			fmt.Fprintf(out, "MISMATCH prune split: trace has %d predicted / %d simulated records, result summarises %d / %d\n",
 				pred, sim, ps.Predicted, ps.Simulated)
 			failures++
 		} else if pred > 0 {
-			fmt.Printf("OK: trace predicted/simulated split matches the result's prune summary (%d / %d)\n", pred, sim)
+			fmt.Fprintf(out, "OK: trace predicted/simulated split matches the result's prune summary (%d / %d)\n", pred, sim)
 		}
 	}
 	if failures == 0 {
-		fmt.Printf("OK: trace agrees with injection result %s (%d workloads)\n", label, len(res.Workloads))
+		fmt.Fprintf(out, "OK: trace agrees with injection result %s (%d workloads)\n", label, len(res.Workloads))
 	}
 	return failures
 }
 
-// verifyBeam cross-checks the trace against a beam Result export: strike
-// record counts must equal SimulatedStrikes, masked counts must equal
-// MaskedStrikes, and the weighted per-class event sums recomputed from the
-// trace must be bit-identical to ModeledEvents. Returns the mismatch count.
-func verifyBeam(s *obs.Summary, path string) int {
-	var res beam.Result
-	if err := readJSON(path, &res); err != nil {
-		fmt.Fprintln(os.Stderr, "tracestat:", err)
-		return 1
-	}
-	return verifyBeamResult(s, &res, path)
-}
-
-func verifyBeamResult(s *obs.Summary, res *beam.Result, label string) int {
+// verifyBeam cross-checks the trace against a beam Result: strike record
+// counts must equal SimulatedStrikes, masked counts must equal
+// MaskedStrikes, and the weighted per-class event sums recomputed from
+// the trace must be bit-identical to ModeledEvents.
+func verifyBeam(out io.Writer, s *obs.Summary, res *beam.Result, label string) int {
 	failures := 0
 	for _, w := range res.Workloads {
 		records, masked := 0, 0
@@ -389,34 +350,26 @@ func verifyBeamResult(s *obs.Summary, res *beam.Result, label string) int {
 			masked += c.Counts[fault.ClassMasked]
 		}
 		if records != w.SimulatedStrikes {
-			fmt.Printf("MISMATCH %s: trace has %d strikes, result simulated %d\n",
+			fmt.Fprintf(out, "MISMATCH %s: trace has %d strikes, result simulated %d\n",
 				w.Workload, records, w.SimulatedStrikes)
 			failures++
 		}
 		if masked != w.MaskedStrikes {
-			fmt.Printf("MISMATCH %s: trace has %d masked strikes, result counted %d\n",
+			fmt.Fprintf(out, "MISMATCH %s: trace has %d masked strikes, result counted %d\n",
 				w.Workload, masked, w.MaskedStrikes)
 			failures++
 		}
 		modeled := s.ModeledEvents(w.Workload)
 		for _, cls := range fault.Classes() {
 			if modeled[cls] != w.ModeledEvents[cls] {
-				fmt.Printf("MISMATCH %s/%s: trace models %.17g events, result %.17g\n",
+				fmt.Fprintf(out, "MISMATCH %s/%s: trace models %.17g events, result %.17g\n",
 					w.Workload, cls, modeled[cls], w.ModeledEvents[cls])
 				failures++
 			}
 		}
 	}
 	if failures == 0 {
-		fmt.Printf("OK: trace agrees with beam result %s (%d workloads)\n", label, len(res.Workloads))
+		fmt.Fprintf(out, "OK: trace agrees with beam result %s (%d workloads)\n", label, len(res.Workloads))
 	}
 	return failures
-}
-
-func readJSON(path string, v any) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	return json.Unmarshal(data, v)
 }

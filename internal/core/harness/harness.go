@@ -74,22 +74,11 @@ type Workbench struct {
 // snapshots, and validates the golden run bit-for-bit against the native
 // reference output.
 func New(cfg soc.Config, model soc.ModelKind, built *bench.Built) (*Workbench, error) {
-	m, err := soc.NewMachine(cfg, model)
+	m, snap, err := boot(cfg, model, built)
 	if err != nil {
 		return nil, fmt.Errorf("harness: %w", err)
 	}
-	if err := m.LoadApp(built.Program); err != nil {
-		return nil, fmt.Errorf("harness: %w", err)
-	}
-	if len(built.Input) > 0 {
-		if err := m.PokeBytes(built.InputAddr, built.Input); err != nil {
-			return nil, fmt.Errorf("harness: staging input: %w", err)
-		}
-	}
-	if err := m.Boot(BootBudget); err != nil {
-		return nil, fmt.Errorf("harness: %w", err)
-	}
-	w := &Workbench{Machine: m, Built: built, Snap: m.SaveSnapshot()}
+	w := &Workbench{Machine: m, Built: built, Snap: snap}
 	Phased("golden-replay", func() {
 		m.RestoreSnapshot(w.Snap, false)
 		w.Golden = m.Run(GoldenBudget)
@@ -104,6 +93,29 @@ func New(cfg soc.Config, model soc.ModelKind, built *bench.Built) (*Workbench, e
 	}
 	w.Watchdog = 2*w.Golden.Cycles + 50*uint64(cfg.TimerPeriod)
 	return w, nil
+}
+
+// boot makes a machine of the preset and model, loads the workload and
+// stages its input, boots the kernel, and snapshots the post-boot state:
+// the sequence New and Clone share, so a clone's snapshot is bit-equal to
+// the original's.
+func boot(cfg soc.Config, model soc.ModelKind, built *bench.Built) (*soc.Machine, *soc.Snapshot, error) {
+	m, err := soc.NewMachine(cfg, model)
+	if err != nil {
+		return nil, nil, err
+	}
+	if err := m.LoadApp(built.Program); err != nil {
+		return nil, nil, err
+	}
+	if len(built.Input) > 0 {
+		if err := m.PokeBytes(built.InputAddr, built.Input); err != nil {
+			return nil, nil, fmt.Errorf("staging input: %w", err)
+		}
+	}
+	if err := m.Boot(BootBudget); err != nil {
+		return nil, nil, err
+	}
+	return m, m.SaveSnapshot(), nil
 }
 
 // Build assembles a workload spec at the given scale and prepares a
@@ -127,26 +139,15 @@ func Build(cfg soc.Config, model soc.ModelKind, spec bench.Spec, scale bench.Sca
 // shared read-only). Siblings share no mutable state; the parallel
 // campaign engines give each worker goroutine its own workbench.
 func (w *Workbench) Clone() (*Workbench, error) {
-	m, err := soc.NewMachine(w.Machine.Cfg, w.Machine.Model)
+	m, snap, err := boot(w.Machine.Cfg, w.Machine.Model, w.Built)
 	if err != nil {
-		return nil, fmt.Errorf("harness: clone: %w", err)
-	}
-	if err := m.LoadApp(w.Built.Program); err != nil {
-		return nil, fmt.Errorf("harness: clone: %w", err)
-	}
-	if len(w.Built.Input) > 0 {
-		if err := m.PokeBytes(w.Built.InputAddr, w.Built.Input); err != nil {
-			return nil, fmt.Errorf("harness: clone: staging input: %w", err)
-		}
-	}
-	if err := m.Boot(BootBudget); err != nil {
 		return nil, fmt.Errorf("harness: clone: %w", err)
 	}
 	m.LadderCrossCheck = w.Machine.LadderCrossCheck
 	return &Workbench{
 		Machine:  m,
 		Built:    w.Built,
-		Snap:     m.SaveSnapshot(),
+		Snap:     snap,
 		Golden:   w.Golden,
 		Watchdog: w.Watchdog,
 		// The ladder, liveness log and steady state are immutable after

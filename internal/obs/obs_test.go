@@ -349,6 +349,33 @@ func TestSummarize(t *testing.T) {
 	}
 }
 
+// TestSummarizeExperimentStatsCountSimulatedOnly: the worker tally and
+// the wall-time quantiles describe experiments that ran on the
+// simulator. Predicted and deduped slots, convergence estimates and
+// shard events carry no execution (wall 0), so counting them would
+// skew the quantiles to 0 and credit their worker with runs it never did.
+func TestSummarizeExperimentStatsCountSimulatedOnly(t *testing.T) {
+	recs := []Record{
+		{Kind: KindInjection, Seq: 0, Workload: "w", Comp: fault.CompL1D, Class: fault.ClassSDC, WallNS: 40, Worker: 1},
+		{Kind: KindInjection, Seq: 1, Workload: "w", Comp: fault.CompL1D, Class: fault.ClassMasked,
+			Mechanism: "never-read", Predicted: true, Worker: 0},
+		{Kind: KindInjection, Seq: 2, Workload: "w", Comp: fault.CompL1D, Class: fault.ClassMasked, Dedup: true, Worker: 0},
+		{Kind: KindStrike, Seq: 3, Workload: "w", Comp: fault.CompL2, Class: fault.ClassMasked, WallNS: 20, Worker: 0},
+		{Kind: KindConvergence, Seq: 4, Workload: "w", Comp: fault.CompL1D, Class: fault.ClassMasked, Worker: 0},
+		{Kind: KindShard, Seq: 5, Event: "completed", WallNS: 90, Worker: 0},
+	}
+	s := Summarize(recs)
+	if s.Records != 6 {
+		t.Errorf("records = %d, want every line", s.Records)
+	}
+	if len(s.Workers) != 2 || s.Workers[0] != 1 || s.Workers[1] != 1 {
+		t.Errorf("workers = %v, want one simulated experiment each on w0 and w1", s.Workers)
+	}
+	if len(s.Wall) != 2 || s.WallQuantile(0) != 20 || s.WallQuantile(1) != 40 {
+		t.Errorf("wall = %v, want the two simulated experiments' [20 40]", s.Wall)
+	}
+}
+
 func TestReadSummaryRejectsGarbage(t *testing.T) {
 	if _, err := ReadSummary(strings.NewReader("{\"kind\":\"injection\"}\nnot json\n")); err == nil {
 		t.Error("garbage line must fail")

@@ -1,7 +1,9 @@
 // Trace reader: recomputes campaign statistics from a JSONL lifecycle
 // trace, so a trace file can be cross-checked against the engine's own
-// Result (cmd/tracestat drives this; the engines' obs tests assert exact
-// agreement at every worker count).
+// Result and explained. cmd/tracestat, the one inspection command, reads
+// every trace through it: class tables, masking mechanisms, the
+// predicted/deduped/simulated split and the final convergence estimators.
+// The engines' obs tests assert exact agreement at every worker count.
 
 package obs
 
@@ -73,13 +75,15 @@ type Summary struct {
 	Records int
 	// ByKind splits the trace by record kind.
 	ByKind map[string]*KindSummary
-	// Workers counts records per executing workbench id.
+	// Workers counts simulated experiments per executing workbench id:
+	// injection and strike records that ran on the simulator, so neither
+	// predicted nor deduped ones, and never convergence or shard records.
 	Workers map[int]int
 	// Nodes counts records per fleet node (records without a node label —
 	// in-process campaigns — land under "").
 	Nodes map[string]int
-	// Wall holds every record's wall duration (ns), sorted ascending —
-	// the source for latency quantiles.
+	// Wall holds the wall duration (ns) of every experiment Workers
+	// counts, sorted ascending — the source for latency quantiles.
 	Wall []int64
 	// Conv holds the KindConvergence records in sequence order; the last
 	// record per (workload, comp, class) is each estimator's final state
@@ -197,9 +201,11 @@ func Summarize(recs []Record) *Summary {
 	}
 	for _, rec := range sorted {
 		s.Records++
-		s.Workers[rec.Worker]++
 		s.Nodes[rec.Node]++
-		s.Wall = append(s.Wall, rec.WallNS)
+		if (rec.Kind == KindInjection || rec.Kind == KindStrike) && !rec.Predicted && !rec.Dedup {
+			s.Workers[rec.Worker]++
+			s.Wall = append(s.Wall, rec.WallNS)
+		}
 		k, ok := s.ByKind[rec.Kind]
 		if !ok {
 			k = &KindSummary{Workloads: make(map[string]*WorkloadSummary), Events: make(map[string]int)}

@@ -68,8 +68,8 @@ type machineState struct {
 }
 
 // Ladder is the checkpoint ladder of one golden run: rung 0 is the
-// post-restore state at cycle zero, and subsequent rungs are spaced
-// EffectiveEvery cycles apart (first cycle boundary actually reached on
+// post-restore state at cycle zero, and subsequent rungs are spaced a
+// fixed number of cycles apart (first cycle boundary actually reached on
 // the atomic model, which can skip boundaries). It holds no end state:
 // an injection run restores rungs only. Immutable after capture; safe to
 // restore concurrently into sibling machines.
@@ -109,9 +109,6 @@ func (l *Ladder) Warm() bool { return l.warm }
 
 // Rungs returns the number of mid-run rungs (including rung 0).
 func (l *Ladder) Rungs() int { return len(l.rungs) }
-
-// EffectiveEvery returns the rung spacing actually used.
-func (l *Ladder) EffectiveEvery() uint64 { return l.every }
 
 // MemoryBytes estimates the ladder's retained memory: DRAM pages the
 // post-boot snapshot does not hold and the rungs' page tables, core
